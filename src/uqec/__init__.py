@@ -9,6 +9,7 @@ no syndrome measurement or projection is ever applied.
 from .analysis import (
     DEFAULT_TOL,
     INPUT_STATES,
+    TRAJECTORY_ALPHA,
     FactorizationResult,
     NonDiagonalAncillaError,
     RecoveryReport,
@@ -59,6 +60,7 @@ from .recovery import (
     build_recovery,
     conventional_recovery_bitflip3,
     read_channel_file,
+    recover_pure_state,
     recovery_for,
     recovery_row_order,
     sample_trajectory,

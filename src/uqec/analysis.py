@@ -4,12 +4,18 @@
 The product-form test reconstructs the state from its two partial traces and
 measures the Frobenius distance; for states that truly factorize this is
 exact, so a small residual certifies the tensor-product claim.
+
+Each case is computed in factor form (see recovery.recover_pure_state): the
+recovered state and both partial traces are Gram products B @ B.T, which are
+positive semidefinite by construction and skip the eigenvalue validation that
+user-supplied matrices get.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -28,12 +34,16 @@ from .recovery import (
     DensityMatrix,
     ErrorChannel,
     RecoveryMatrix,
-    apply_channel,
-    apply_recovery,
+    recover_pure_state,
     recovery_for,
 )
 
 DEFAULT_TOL = 1e-10
+
+# Family-wise false-failure rate of the trajectory frequency test: with exact
+# recovery, a trajectory run fails on sampling noise alone with probability
+# at most this, whatever the number of channel terms (Sidak correction).
+TRAJECTORY_ALPHA = 1e-3
 
 # Input states exercised by the verification grids.
 INPUT_STATES = (
@@ -68,15 +78,31 @@ class FactorizationResult:
 def check_product_form(
     rho_out: DensityMatrix, split: QubitSplit, tol: float = DEFAULT_TOL
 ) -> FactorizationResult:
-    """Compare rho_out against the product of its own partial traces."""
+    """Compare rho_out against the product of its own partial traces.
+
+    When rho_out carries a factor A (rho_out = A A^T), each partial trace is
+    the Gram product of a reshaped A: A.reshape(first, rest * k) for the
+    first factor, and the (1, 0, 2) transpose of A.reshape(first, rest, k)
+    for the rest. Otherwise the dense partial traces are taken and validated.
+    The residual is always the dense Frobenius distance.
+    """
     if rho_out.dim != split.total:
         raise ValueError(f"state dimension {rho_out.dim} != split total {split.total}")
-    reduced_first = partial_trace(rho_out.matrix, split, keep="first")
-    reduced_rest = partial_trace(rho_out.matrix, split, keep="rest")
-    residual = frobenius_distance(rho_out.matrix, np.kron(reduced_first, reduced_rest))
+    if rho_out.factor is None:
+        reduced_first = DensityMatrix(partial_trace(rho_out.matrix, split, keep="first"))
+        reduced_rest = DensityMatrix(partial_trace(rho_out.matrix, split, keep="rest"))
+    else:
+        blocks = rho_out.factor.reshape(split.dim_first, split.dim_rest, -1)
+        reduced_first = DensityMatrix.from_factor(blocks.reshape(split.dim_first, -1))
+        reduced_rest = DensityMatrix.from_factor(
+            blocks.transpose(1, 0, 2).reshape(split.dim_rest, -1)
+        )
+    residual = frobenius_distance(
+        rho_out.matrix, np.kron(reduced_first.matrix, reduced_rest.matrix)
+    )
     return FactorizationResult(
-        reduced_qubit=DensityMatrix(reduced_first),
-        reduced_ancilla=DensityMatrix(reduced_rest),
+        reduced_qubit=reduced_first,
+        reduced_ancilla=reduced_rest,
         residual=residual,
         is_product=residual <= tol,
     )
@@ -161,9 +187,7 @@ def run_experiment(
     code = get_code(code) if isinstance(code, str) else code
     rec = recovery_for(code.name)
     _require_channel_in_error_set(channel, code, rec)
-    encoded = encode_state(code, psi)
-    rho_err = apply_channel(channel, DensityMatrix.from_state(encoded))
-    rho_out = apply_recovery(rec, rho_err)
+    rho_out = recover_pure_state(rec, channel, encode_state(code, psi))
     fact = check_product_form(rho_out, QubitSplit(2, code.dim // 2), tol)
     fid = fidelity_pure(fact.reduced_qubit, psi)
     syndrome = syndrome_distribution(fact.reduced_ancilla, rec.class_labels, tol)
@@ -293,7 +317,12 @@ def trajectory_statistics(
     """Monte Carlo cross-check of the density-matrix pipeline at state-vector
     level: draw channel terms, recover each corrupted vector with the
     recovery matrix, classify the ancilla register, and compare empirical
-    frequencies against the channel probabilities (3-sigma binomial bounds).
+    frequencies against the channel probabilities.
+
+    Each entry reports its own 3-sigma binomial bound. The verdict instead
+    tests all terms as one family at TRAJECTORY_ALPHA: every term's |z| must
+    lie within the Sidak per-term bound, and a term with probability 0 or 1
+    must have exactly that frequency.
 
     The channel term drawn determines the corrupted vector completely, so the
     per-sample recovery is computed once per term and shared by its samples.
@@ -306,9 +335,11 @@ def trajectory_statistics(
     rng = np.random.default_rng(seed)
     drawn = rng.choice(len(probs), size=samples, p=probs)
     counts = np.bincount(drawn, minlength=len(probs))
+    z_bound = _sidak_z_bound(len(probs))
 
     entries = []
     worst = 0.0
+    frequencies_ok = True
     for i, (p, op) in enumerate(channel.terms):
         recovered = rec.matrix @ op.apply(encoded)
         c = rec.class_map[op.label]
@@ -319,6 +350,11 @@ def trajectory_statistics(
         freq = counts[i] / samples
         bound = 3.0 * np.sqrt(p * (1.0 - p) / samples)
         within = abs(freq - p) <= bound
+        if p <= 0.0 or p >= 1.0:
+            frequencies_ok = frequencies_ok and freq == p
+        else:
+            z = abs(freq - p) / np.sqrt(p * (1.0 - p) / samples)
+            frequencies_ok = frequencies_ok and z <= z_bound
         entries.append(
             TrajectoryEntry(
                 label=op.label,
@@ -333,7 +369,7 @@ def trajectory_statistics(
         )
         if counts[i] > 0:
             worst = max(worst, err)
-    passed = all(e.within_bound for e in entries) and worst <= tol
+    passed = frequencies_ok and worst <= tol
     return TrajectoryReport(
         code=code.name,
         samples=samples,
@@ -342,6 +378,13 @@ def trajectory_statistics(
         max_recovery_error=worst,
         passed=passed,
     )
+
+
+def _sidak_z_bound(terms: int, alpha: float = TRAJECTORY_ALPHA) -> float:
+    """Two-sided per-term z bound that keeps the family-wise false-failure
+    rate of `terms` independent z tests at alpha."""
+    per_term = 1.0 - (1.0 - alpha) ** (1.0 / terms)
+    return NormalDist().inv_cdf(1.0 - per_term / 2.0)
 
 
 # --- report serialization ---------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -83,7 +84,7 @@ def _resolve_state(alpha: float | None, beta: float | None) -> PureQubitState:
     if alpha is None or beta is None:
         raise CliError("--alpha and --beta are required")
     norm2 = alpha * alpha + beta * beta
-    if abs(norm2 - 1.0) > 1e-9:
+    if not abs(norm2 - 1.0) <= 1e-9:
         raise CliError(f"alpha^2 + beta^2 = {norm2!r}, must be 1 within 1e-9")
     scale = 1.0 / np.sqrt(norm2)
     return PureQubitState(alpha * scale, beta * scale)
@@ -152,7 +153,10 @@ def _emit(text: str, output: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(output).write_text(text if text.endswith("\n") else text + "\n")
+        try:
+            Path(output).write_text(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {output}: {exc}") from exc
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -304,7 +308,10 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
                 f"{e.bound_3sigma:>10.6f}  {'yes' if e.within_bound else 'NO'}"
             )
         lines.append(f"max per-sample recovery error: {report.max_recovery_error:.3e}")
-        lines.append(f"verdict: {'PASS' if report.passed else 'FAIL'}")
+        lines.append(
+            f"verdict: {'PASS' if report.passed else 'FAIL'} "
+            f"(all terms tested as one family at alpha={analysis.TRAJECTORY_ALPHA:g})"
+        )
         _emit("\n".join(lines), args.output)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -318,10 +325,18 @@ _COMMANDS = {
 }
 
 
+def _check_numbers(args: argparse.Namespace) -> None:
+    if not 0.0 <= args.tol < math.inf:  # NaN fails this too
+        raise CliError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    if not getattr(args, "samples", 1) >= 1:
+        raise CliError(f"--samples must be >= 1, got {args.samples!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

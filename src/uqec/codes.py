@@ -8,7 +8,7 @@ All amplitudes are real; Y is the real matrix [[0,-1],[1,0]].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,7 +45,8 @@ class PureQubitState:
     beta: float
 
     def __post_init__(self) -> None:
-        if abs(self.alpha ** 2 + self.beta ** 2 - 1.0) > 1e-12:
+        # Written so that NaN and inf amplitudes fail it.
+        if not abs(self.alpha ** 2 + self.beta ** 2 - 1.0) <= 1e-12:
             raise ValueError(f"state ({self.alpha}, {self.beta}) is not normalized")
 
     @property
@@ -63,7 +64,8 @@ class ErrorOperator:
     """A Pauli operator embedded on n qubits as a signed permutation matrix.
 
     perm and signs give the column decomposition (column j has the single
-    entry signs[j] in row perm[j]); matrix is the dense 2^n x 2^n embedding.
+    entry signs[j] in row perm[j]); matrix is the dense 2^n x 2^n embedding,
+    built from them on first read.
     """
 
     kind: str
@@ -72,11 +74,16 @@ class ErrorOperator:
     label: str
     perm: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return 2 ** self.n
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((self.dim, self.dim))
+        m[self.perm, np.arange(self.dim)] = self.signs
+        return _freeze(m)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """W @ vec without forming the product."""
@@ -104,9 +111,6 @@ def error_operator(kind: str, qubit: int, n: int) -> ErrorOperator:
         p, s = _SIGNED_PERM[kind if (kind != "I" and q == qubit) else "I"]
         perm = (perm[:, None] * 2 + p[None, :]).ravel()
         signs = np.outer(signs, s).ravel()
-    d = 2 ** n
-    matrix = np.zeros((d, d))
-    matrix[perm, np.arange(d)] = signs
     label = "I" if kind == "I" else f"{kind}_{qubit}"
     return ErrorOperator(
         kind=kind,
@@ -115,7 +119,6 @@ def error_operator(kind: str, qubit: int, n: int) -> ErrorOperator:
         label=label,
         perm=_freeze(perm),
         signs=_freeze(signs),
-        matrix=_freeze(matrix),
     )
 
 

@@ -40,18 +40,23 @@ class KLViolationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Real symmetric, trace-1, positive semidefinite matrix."""
+    """Real symmetric, trace-1, positive semidefinite matrix.
+
+    factor is set only by from_factor: a real B with matrix == B @ B.T.
+    """
 
     matrix: np.ndarray = field(repr=False)
+    factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         if float(np.max(np.abs(m - m.T))) > 1e-12:
             raise ValueError("density matrix is not symmetric")
-        if abs(float(np.trace(m)) - 1.0) > 1e-12:
-            raise ValueError(f"trace is {np.trace(m)!r}, expected 1")
+        _check_trace(m)
         if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
             raise ValueError("density matrix is not positive semidefinite")
         m.setflags(write=False)
@@ -66,6 +71,34 @@ class DensityMatrix:
         vec = np.asarray(vec, dtype=float)
         return cls(np.outer(vec, vec))
 
+    @classmethod
+    def from_factor(cls, factor: np.ndarray) -> "DensityMatrix":
+        """B @ B.T for a real d x k factor B, e.g. one column per Kraus term.
+
+        B @ B.T is positive semidefinite for every real B, and numpy computes
+        it exactly symmetric, so only finiteness and the trace are checked:
+        the eigenvalue test that guards matrices from outside could not fail.
+        """
+        b = np.ascontiguousarray(factor, dtype=float)
+        if b.ndim != 2:
+            raise ValueError(f"factor must be 2-D, got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("factor has non-finite entries")
+        m = b @ b.T
+        _check_trace(m)
+        m.setflags(write=False)
+        b.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        object.__setattr__(rho, "factor", b)
+        return rho
+
+
+def _check_trace(m: np.ndarray) -> None:
+    # Written so that a NaN or inf trace fails it.
+    if not abs(float(np.trace(m)) - 1.0) <= 1e-12:
+        raise ValueError(f"trace is {np.trace(m)!r}, expected 1")
+
 
 @dataclass(frozen=True, eq=False)
 class ErrorChannel:
@@ -75,9 +108,10 @@ class ErrorChannel:
 
     def __post_init__(self) -> None:
         probs = np.array([p for p, _ in self.terms])
-        if np.any(probs < 0):
+        # Both checks are written so that NaN and inf fail them.
+        if not np.all(probs >= 0):
             raise ValueError("channel probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"channel probabilities sum to {probs.sum()!r}, expected 1")
         dims = {op.dim for _, op in self.terms}
         if len(dims) > 1:
@@ -135,7 +169,7 @@ def read_channel_file(path: str | Path, code: Code) -> ErrorChannel:
     if not terms:
         raise ValueError(f"{path}: no channel terms found")
     total = sum(p for p, _ in terms)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"{path}: probabilities sum to {total!r}, expected 1")
     # Renormalize the sub-1e-9 slack away so the channel invariant holds exactly.
     return ErrorChannel(tuple((p / total, op) for p, op in terms))
@@ -367,6 +401,24 @@ def apply_recovery(recovery: RecoveryMatrix, rho_err: DensityMatrix) -> DensityM
         )
     r = recovery.matrix
     return DensityMatrix(r @ rho_err.matrix @ r.T)
+
+
+def recover_pure_state(
+    recovery: RecoveryMatrix, channel: ErrorChannel, state: np.ndarray
+) -> DensityMatrix:
+    """R (sum_i p_i W_i psi psi^T W_i^T) R^T for a pure input psi, in factor
+    form: A @ A.T with A = R [sqrt(p_i) W_i psi], one column per term with
+    p_i > 0. Neither the corrupted state nor R rho R^T is formed densely;
+    apply_recovery(recovery, apply_channel(channel, DensityMatrix.from_state(psi)))
+    is the same matrix up to rounding."""
+    state = np.asarray(state, dtype=float)
+    if not recovery.dim == channel.dim == state.shape[0]:
+        raise ValueError(
+            f"recovery dimension {recovery.dim}, channel dimension {channel.dim} "
+            f"and state dimension {state.shape[0]} differ"
+        )
+    columns = [np.sqrt(p) * op.apply(state) for p, op in channel.terms if p > 0]
+    return DensityMatrix.from_factor(recovery.matrix @ np.column_stack(columns))
 
 
 @lru_cache(maxsize=1)

@@ -5,6 +5,7 @@ import pytest
 
 from uqec.analysis import (
     INPUT_STATES,
+    TRAJECTORY_ALPHA,
     NonDiagonalAncillaError,
     check_product_form,
     fidelity_pure,
@@ -17,9 +18,23 @@ from uqec.analysis import (
     verify_code,
     verify_permutation_factorization_3qubit,
 )
-from uqec.codes import PureQubitState, error_operator, get_code, standard_error_set
-from uqec.linalg import QubitSplit, basis_vector
-from uqec.recovery import DensityMatrix, ErrorChannel
+from uqec.codes import (
+    CODE_NAMES,
+    PureQubitState,
+    encode_state,
+    error_operator,
+    get_code,
+    standard_error_set,
+)
+from uqec.linalg import QubitSplit, basis_vector, partial_trace
+from uqec.recovery import (
+    DensityMatrix,
+    ErrorChannel,
+    apply_channel,
+    apply_recovery,
+    recover_pure_state,
+    recovery_for,
+)
 
 
 def channel_for(name, probs):
@@ -206,6 +221,23 @@ class TestTrajectoryStatistics:
         assert all(e.within_bound for e in report.entries)
         assert report.max_recovery_error <= 1e-10
 
+    def test_familywise_verdict_tolerates_a_single_3sigma_excursion(self):
+        # Exact recovery; at this seed X_1 lands 3.27 sigma off, inside the
+        # Sidak bound for 4 terms at TRAJECTORY_ALPHA (3.66).
+        report = trajectory_statistics(
+            "bitflip3", channel_for("bitflip3", [0.4, 0.3, 0.2, 0.1]),
+            PureQubitState(0.6, 0.8), samples=1000, seed=8,
+        )
+        z = [
+            abs(e.frequency - e.probability)
+            / np.sqrt(e.probability * (1 - e.probability) / report.samples)
+            for e in report.entries
+        ]
+        assert TRAJECTORY_ALPHA == 1e-3
+        assert 3.0 < max(z) < 3.66
+        assert not all(e.within_bound for e in report.entries)
+        assert report.passed
+
     def test_shor9_degenerate_member_classifies_to_class(self):
         probs = np.zeros(28)
         probs[20] = 1.0  # Z_2, a non-representative member of {Z_1,Z_2,Z_3}
@@ -218,6 +250,46 @@ class TestTrajectoryStatistics:
         assert entry.class_label == "{Z_1,Z_2,Z_3}"
         assert entry.count == 200
         assert report.passed
+
+
+class TestFactorPathMatchesDenseOracle:
+    """run_experiment computes each case in factor form; the dense channel and
+    R rho R^T path must agree with it to 1e-14 (float64 rounding over sums of
+    at most 28 terms) over the whole verify grid, with identical verdicts."""
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_verify_grid(self, name):
+        code = get_code(name)
+        ops = standard_error_set(code)
+        rec = recovery_for(name)
+        split = QubitSplit(2, code.dim // 2)
+        worst = 0.0
+        for probs in verification_probability_vectors(len(ops), seed=42):
+            channel = ErrorChannel.from_probs(ops, probs)
+            for psi in INPUT_STATES:
+                encoded = encode_state(code, psi)
+                dense = apply_recovery(
+                    rec, apply_channel(channel, DensityMatrix.from_state(encoded))
+                ).matrix
+                report = run_experiment(code, channel, psi)
+                fact = report.factorization
+                qubit = partial_trace(dense, split, keep="first")
+                ancilla = partial_trace(dense, split, keep="rest")
+                worst = max(
+                    worst,
+                    float(np.max(np.abs(recover_pure_state(rec, channel, encoded).matrix - dense))),
+                    float(np.max(np.abs(fact.reduced_qubit.matrix - qubit))),
+                    float(np.max(np.abs(fact.reduced_ancilla.matrix - ancilla))),
+                )
+                tol = report.tolerance
+                dense_passed = (
+                    psi.vector @ qubit @ psi.vector >= 1.0 - tol
+                    and np.linalg.norm(dense - np.kron(qubit, ancilla)) <= tol
+                    and abs(np.trace(ancilla) - 1.0) <= tol
+                )
+                assert report.passed == dense_passed
+                assert report.passed
+        assert worst <= 1e-14
 
 
 class TestReportJson:

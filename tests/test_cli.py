@@ -190,3 +190,23 @@ class TestOutputFile:
         ])
         assert rc == 0
         assert json.loads(target.read_text())["passed"] is True
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--code", "bitflip3", "--tol", "-1"],
+        ["verify", "--code", "bitflip3", "--output", "{missing}/x.txt"],
+        ["demo", "--code", "bitflip3", "--probs", "nan,1,0,0", "--alpha", "0.6", "--beta", "0.8"],
+        ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--samples", "0"],
+        ["verify", "--code", "bitflip3", "--tol", "nan"],
+        ["verify", "--code", "bitflip3", "--tol", "inf"],
+        ["demo", "--code", "bitflip3", "--probs", "1,0,0,0", "--alpha", "nan", "--beta", "0"],
+        ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--samples", "-1"],
+    ])
+    def test_exits_2_with_one_line_error(self, argv, tmp_path, capsys):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

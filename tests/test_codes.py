@@ -92,6 +92,12 @@ def test_logical_basis_invariants(name):
 
 
 class TestErrorOperator:
+    def test_dense_matrix_built_on_first_read(self):
+        op = error_operator("Y", 2, 9)
+        assert "matrix" not in vars(op)
+        assert op.matrix is op.matrix
+        assert not op.matrix.flags.writeable
+
     def test_identity(self):
         op = error_operator("I", 0, 3)
         assert np.array_equal(op.matrix, np.eye(8))
@@ -183,6 +189,13 @@ class TestEncodeState:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="not normalized"):
             PureQubitState(1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (float("nan"), 0.0), (1.0, float("nan")), (float("inf"), 0.0), (0.6, float("-inf")),
+    ])
+    def test_rejects_non_finite_amplitudes(self, alpha, beta):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureQubitState(alpha, beta)
 
 
 class TestEncodingUnitary:

@@ -21,6 +21,7 @@ from uqec.recovery import (
     build_recovery,
     conventional_recovery_bitflip3,
     read_channel_file,
+    recover_pure_state,
     recovery_for,
     recovery_row_order,
     sample_trajectory,
@@ -62,11 +63,60 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+class TestFromFactor:
+    @pytest.mark.parametrize("shape", [(2, 1), (8, 4), (512, 28), (256, 56), (2, 7168)])
+    def test_gram_product_is_exactly_symmetric(self, shape):
+        b = np.random.default_rng(shape[1]).standard_normal(shape)
+        b /= np.linalg.norm(b)
+        rho = DensityMatrix.from_factor(b)
+        assert np.array_equal(rho.matrix, rho.matrix.T)
+        assert np.max(np.abs(rho.matrix - b @ b.T)) <= 1e-15
+        assert rho.factor.shape == shape
+
+    def test_matches_validated_constructor(self):
+        b = np.array([[0.6, 0.0], [0.0, 0.8]])
+        assert np.array_equal(DensityMatrix.from_factor(b).matrix, DensityMatrix(b @ b.T).matrix)
+        assert DensityMatrix(b @ b.T).factor is None
+
+    def test_read_only(self):
+        rho = DensityMatrix.from_factor(np.array([[0.6], [0.8]]))
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            rho.factor[0, 0] = 2.0
+
+    def test_rejects_nan_factor(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix.from_factor(np.array([[np.nan], [1.0]]))
+
+    def test_rejects_trace_off_one(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.from_factor(np.array([[1.0], [1.0]]))
+
+    def test_rejects_1d_factor(self):
+        with pytest.raises(ValueError, match="2-D"):
+            DensityMatrix.from_factor(np.array([0.6, 0.8]))
+
 
 class TestErrorChannel:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum to"):
             bitflip_channel([0.5, 0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 1.0, 0.0, 0.0],
+        [np.inf, 0.0, 0.0, 0.0],
+        [np.inf, -np.inf, 0.5, 0.5],
+    ])
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError):
+            bitflip_channel(probs)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -344,3 +394,24 @@ class TestChannelFile:
         path.write_text("I 0.5\nI 0.5\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_channel_file(path, bitflip3())
+
+
+class TestRecoverPureState:
+    def test_matches_dense_path(self):
+        code = shor9()
+        ops = standard_error_set(code)
+        probs = np.random.default_rng(5).dirichlet(np.ones(len(ops)))
+        probs[3] = 0.0
+        channel = ErrorChannel.from_probs(ops, probs / probs.sum())
+        encoded = encode_state(code, PureQubitState(0.6, -0.8))
+        rec = recovery_for("shor9")
+        fast = recover_pure_state(rec, channel, encoded)
+        dense = apply_recovery(rec, apply_channel(channel, DensityMatrix.from_state(encoded)))
+        assert fast.factor.shape == (512, len(ops) - 1)
+        assert np.max(np.abs(fast.matrix - dense.matrix)) <= 1e-14
+
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="differ"):
+            recover_pure_state(
+                recovery_for("divincenzo5"), bitflip_channel([1, 0, 0, 0]), np.ones(8) / np.sqrt(8)
+            )
