@@ -19,7 +19,13 @@ import numpy as np
 from . import analysis
 from .codes import CODE_NAMES, PureQubitState, encoding_unitary, get_code, standard_error_set
 from .linalg import write_matrix
-from .recovery import ErrorChannel, read_channel_file, recovery_for, validate_kl
+from .recovery import (
+    ErrorChannel,
+    normalized_probabilities,
+    read_channel_file,
+    recovery_for,
+    validate_kl,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -107,9 +113,9 @@ def _resolve_channel(args: argparse.Namespace, code_name: str) -> ErrorChannel:
     if len(probs) != len(ops):
         raise CliError(f"--probs needs {len(ops)} entries for {code_name}, got {len(probs)}")
     try:
-        return ErrorChannel.from_probs(ops, probs)
+        return ErrorChannel.from_probs(ops, normalized_probabilities(probs))
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"--probs: {exc}") from exc
 
 
 def _pairs(items) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -38,33 +38,42 @@ class KLViolationError(ValueError):
         self.inner_product = inner_product
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Real symmetric, trace-1, positive semidefinite matrix.
 
-    factor is set only by from_factor: a real B with matrix == B @ B.T.
+    factor is set only by from_factor: a real B with matrix == B @ B.T. Such a
+    state forms its read-only matrix on first use, so code that works on the
+    factor alone never builds it.
     """
 
-    matrix: np.ndarray = field(repr=False)
-    factor: np.ndarray | None = field(default=None, init=False, repr=False)
+    factor: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix: np.ndarray) -> None:
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
         if float(np.max(np.abs(m - m.T))) > 1e-12:
             raise ValueError("density matrix is not symmetric")
-        _check_trace(m)
+        _check_trace(float(np.trace(m)))
         if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
             raise ValueError("density matrix is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = self.factor @ self.factor.T
+        m.setflags(write=False)
+        return m
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self.matrix if self.factor is None else self.factor).shape[0]
 
     @classmethod
     def from_state(cls, vec: np.ndarray) -> "DensityMatrix":
@@ -76,28 +85,26 @@ class DensityMatrix:
         """B @ B.T for a real d x k factor B, e.g. one column per Kraus term.
 
         B @ B.T is positive semidefinite for every real B, and numpy computes
-        it exactly symmetric, so only finiteness and the trace are checked:
-        the eigenvalue test that guards matrices from outside could not fail.
+        it exactly symmetric, so only finiteness and the trace (the squared
+        norm of B) are checked: the eigenvalue test that guards matrices from
+        outside could not fail.
         """
         b = np.ascontiguousarray(factor, dtype=float)
         if b.ndim != 2:
             raise ValueError(f"factor must be 2-D, got shape {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("factor has non-finite entries")
-        m = b @ b.T
-        _check_trace(m)
-        m.setflags(write=False)
+        _check_trace(float(np.vdot(b, b)))
         b.setflags(write=False)
         rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", m)
         object.__setattr__(rho, "factor", b)
         return rho
 
 
-def _check_trace(m: np.ndarray) -> None:
+def _check_trace(trace: float) -> None:
     # Written so that a NaN or inf trace fails it.
-    if not abs(float(np.trace(m)) - 1.0) <= 1e-12:
-        raise ValueError(f"trace is {np.trace(m)!r}, expected 1")
+    if not abs(trace - 1.0) <= 1e-12:
+        raise ValueError(f"trace is {trace!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +119,9 @@ class ErrorChannel:
         if not np.all(probs >= 0):
             raise ValueError("channel probabilities must be nonnegative")
         if not abs(float(probs.sum()) - 1.0) <= 1e-12:
-            raise ValueError(f"channel probabilities sum to {probs.sum()!r}, expected 1")
+            raise ValueError(
+                f"channel probabilities sum to {float(probs.sum())!r}, expected 1"
+            )
         dims = {op.dim for _, op in self.terms}
         if len(dims) > 1:
             raise ValueError("channel operators have mixed dimensions")
@@ -142,13 +151,29 @@ class ErrorChannel:
         return cls(tuple((float(p), op) for p, op in zip(probs, ops)))
 
 
+def normalized_probabilities(probs: Sequence[float]) -> list[float]:
+    """Channel probabilities typed by a user, who may round them: the sum
+    must be 1 within 1e-9. A sum that misses ErrorChannel's own 1e-12 rule is
+    divided out; any other input is returned as typed, so that 0.7 stays 0.7
+    rather than becoming its rescaled neighbour."""
+    probs = [float(p) for p in probs]
+    total = float(np.sum(probs))
+    # Written so that a NaN or inf sum fails it.
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")
+    if abs(total - 1.0) <= 1e-12:
+        return probs
+    return [p / total for p in probs]
+
+
 def read_channel_file(path: str | Path, code: Code) -> ErrorChannel:
     """Parse a channel spec file: one "label probability" pair per line,
     labels resolved against the code's standard error set. Lines starting
-    with '#' and blank lines are ignored. Probabilities must sum to 1
-    within 1e-9."""
+    with '#' and blank lines are ignored. Probabilities follow
+    normalized_probabilities."""
     by_label = {op.label: op for op in standard_error_set(code)}
-    terms: list[tuple[float, ErrorOperator]] = []
+    ops: list[ErrorOperator] = []
+    probs: list[float] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -165,14 +190,14 @@ def read_channel_file(path: str | Path, code: Code) -> ErrorChannel:
         if label in seen:
             raise ValueError(f"{path}:{lineno}: duplicate operator {label!r}")
         seen.add(label)
-        terms.append((float(prob_text), by_label[label]))
-    if not terms:
+        ops.append(by_label[label])
+        probs.append(float(prob_text))
+    if not ops:
         raise ValueError(f"{path}: no channel terms found")
-    total = sum(p for p, _ in terms)
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"{path}: probabilities sum to {total!r}, expected 1")
-    # Renormalize the sub-1e-9 slack away so the channel invariant holds exactly.
-    return ErrorChannel(tuple((p / total, op) for p, op in terms))
+    try:
+        return ErrorChannel.from_probs(ops, normalized_probabilities(probs))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def apply_channel(channel: ErrorChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -74,6 +74,36 @@ class TestCheckProductForm:
         with pytest.raises(ValueError, match="split"):
             check_product_form(rho, QubitSplit(2, 4))
 
+    # (dim_rest, k): the ancilla factor G is dim_rest x 2k, thin (QR taken)
+    # when 2k < dim_rest and wide or square (used as is) otherwise.
+    @pytest.mark.parametrize("rest,k", [
+        (4, 1), (4, 3), (16, 3), (16, 8), (16, 20), (256, 1), (256, 28), (256, 200),
+    ])
+    # None: a random entangled factor; otherwise a product factor u (x) B
+    # perturbed by eps, on both sides of the 1e-10 tolerance.
+    @pytest.mark.parametrize("eps", [None, 1e-6, 1e-9, 1e-12, 1e-15])
+    def test_factor_path_matches_dense(self, rest, k, eps):
+        rng = np.random.default_rng([rest, k, 0 if eps is None else int(-np.log10(eps))])
+        if eps is None:
+            a = rng.standard_normal((2 * rest, k))
+        else:
+            product = np.kron(rng.standard_normal((2, 1)), rng.standard_normal((rest, k)))
+            a = product + eps * rng.standard_normal((2 * rest, k))
+        a /= np.linalg.norm(a)
+        split = QubitSplit(2, rest)
+        rho = DensityMatrix.from_factor(a)
+        fast = check_product_form(rho, split)
+        dense = check_product_form(DensityMatrix(a @ a.T), split)
+        assert abs(fast.residual - dense.residual) <= 1e-15
+        assert fast.is_product == dense.is_product
+        if eps is None:
+            assert not fast.is_product
+        assert np.max(np.abs(fast.reduced_qubit.matrix - dense.reduced_qubit.matrix)) <= 1e-15
+        assert np.max(np.abs(fast.reduced_ancilla.matrix - dense.reduced_ancilla.matrix)) <= 1e-15
+        if 2 * k < rest:
+            # The compressed residual never forms the full recovered state.
+            assert "matrix" not in vars(rho)
+
 
 class TestFidelityPure:
     def test_pure_self_fidelity(self):

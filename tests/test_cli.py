@@ -210,3 +210,64 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestNonDiagonalAncilla:
+    """At --tol 0 the rounding-level off-diagonal mass of some recovered
+    ancillas exceeds the tolerance: those cases fail, and the grid goes on."""
+
+    def test_verify_reports_failed_cases_and_finishes_the_grid(self, capsys):
+        assert main(["verify", "--code", "divincenzo5", "--format", "json"]) == 0
+        loose = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert main(["verify", "--code", "divincenzo5", "--format", "json", "--tol", "0"]) == 1
+        captured = capsys.readouterr()
+        strict = [json.loads(line) for line in captured.out.splitlines()]
+        assert "Traceback" not in captured.err
+        assert len(strict) == len(loose) == 135
+        assert not all(doc["passed"] for doc in strict)
+        # The syndrome is the ancilla diagonal whatever the tolerance.
+        assert [doc["syndrome"] for doc in strict] == [doc["syndrome"] for doc in loose]
+
+    def test_demo_exits_1(self, capsys):
+        probs = ",".join(["0.0625"] * 16)
+        rc = main([
+            "demo", "--code", "divincenzo5", "--probs", probs,
+            "--alpha", "0.6", "--beta", "0.8", "--tol", "0",
+        ])
+        assert rc == 1
+        assert "verdict:   FAIL" in capsys.readouterr().out
+
+
+class TestChannelNormalization:
+    """--probs and --channel-file accept the same sums (1 within 1e-9)."""
+
+    THIRDS = ["0.3333333333", "0.3333333333", "0.3333333333", "0"]
+
+    def _demo(self, channel_args, capsys):
+        rc = main([
+            "demo", "--code", "bitflip3", *channel_args,
+            "--alpha", "0.6", "--beta", "0.8", "--format", "json",
+        ])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_rounded_thirds_accepted_by_both_inputs(self, tmp_path, capsys):
+        chfile = tmp_path / "ch.txt"
+        chfile.write_text("".join(
+            f"{label} {p}\n" for label, p in zip(["I", "X_1", "X_2", "X_3"], self.THIRDS)
+        ))
+        from_probs = self._demo(["--probs", ",".join(self.THIRDS)], capsys)
+        from_file = self._demo(["--channel-file", str(chfile)], capsys)
+        assert from_probs[0] == from_file[0] == 0
+        assert from_probs[1] == from_file[1]
+        doc = json.loads(from_probs[1])
+        assert sum(entry["p"] for entry in doc["channel"]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_bad_sum_message_is_a_plain_float(self, tmp_path, capsys):
+        chfile = tmp_path / "ch.txt"
+        chfile.write_text("I 0.5\nX_1 0.5\nX_2 0.5\nX_3 0.5\n")
+        for args in (["--probs", "0.5,0.5,0.5,0.5"], ["--channel-file", str(chfile)]):
+            rc, _, err = self._demo(args, capsys)
+            assert rc == 2
+            assert "sum to 2.0, expected 1" in err
+            assert "np.float64" not in err

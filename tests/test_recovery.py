@@ -91,6 +91,16 @@ class TestFromFactor:
         with pytest.raises(ValueError):
             rho.factor[0, 0] = 2.0
 
+    def test_matrix_formed_on_first_use_only(self):
+        b = np.full((512, 28), 1.0 / np.sqrt(512 * 28))
+        rho = DensityMatrix.from_factor(b)
+        assert rho.dim == 512
+        assert "matrix" not in vars(rho)
+        assert rho.matrix is rho.matrix
+        assert np.array_equal(rho.matrix, b @ b.T)
+        with pytest.raises(AttributeError, match="immutable"):
+            rho.matrix = np.eye(512) / 512
+
     def test_rejects_nan_factor(self):
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix.from_factor(np.array([[np.nan], [1.0]]))
