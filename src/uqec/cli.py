@@ -43,13 +43,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, code_default: str | None = None) -> None:
+    def add_common(
+        p: argparse.ArgumentParser,
+        code_default: str | None = None,
+        formats: tuple[str, ...] = ("json", "csv", "table"),
+    ) -> None:
         p.add_argument("--code", default=code_default, required=code_default is None,
                        help="code name: bitflip3, divincenzo5, shor9")
         p.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed")
+        p.add_argument("--seed", type=int, default=42, help="RNG seed (>= 0)")
         p.add_argument("--output", default=None, help="write output here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+        p.add_argument("--format", choices=formats, default="table")
 
     p = sub.add_parser("verify", help="run the full verification grid")
     add_common(p, code_default="all")
@@ -63,13 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
 
     p = sub.add_parser("kl-check", help="orthonormality and degeneracy of the error set")
-    add_common(p)
+    add_common(p, formats=("json", "table"))
 
     p = sub.add_parser("dump", help="write recovery matrix, encoder, and logical vectors")
     add_common(p)
 
     p = sub.add_parser("trajectory", help="Monte Carlo cross-check at state-vector level")
-    add_common(p)
+    add_common(p, formats=("json", "table"))
     p.add_argument("--channel-file", default=None)
     p.add_argument("--probs", default=None)
     p.add_argument("--alpha", type=float, default=0.6)
@@ -336,6 +340,8 @@ def _check_numbers(args: argparse.Namespace) -> None:
         raise CliError(f"--tol must be finite and >= 0, got {args.tol!r}")
     if not getattr(args, "samples", 1) >= 1:
         raise CliError(f"--samples must be >= 1, got {args.samples!r}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

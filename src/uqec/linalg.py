@@ -149,17 +149,43 @@ def gram_schmidt_extend(
     Candidates whose residual norm after projection drops below skip_tol are
     dependent and skipped. Kept rows are normalized with a positive leading
     nonzero entry, which makes the completion deterministic.
+
+    A candidate that is exactly a standard basis vector e_i (one entry 1.0,
+    every other entry +0.0) whose index lies outside the support of
+    `accepted` and of every row kept so far is kept as it is. The
+    projections would have done nothing to it: each inner product with e_i
+    is a sum of signed zeros (the rows are finite: `accepted` is checked,
+    and the loop never keeps a non-finite row), and subtracting a signed
+    zero leaves +0.0 and 1.0 unchanged, so the norm is exactly 1 and the
+    lead is positive. The rows are therefore the same, bit for bit, as those
+    of the plain loop, which every other candidate still runs against the
+    same rows in the same order.
     """
     accepted = np.asarray(accepted, dtype=float)
+    if not np.isfinite(accepted).all():
+        raise ValueError("accepted rows have non-finite entries")
     k, d = accepted.shape
     buf = np.empty((k + count, d))
     buf[:k] = accepted
+    support = np.any(accepted != 0, axis=0)
     have = k
     for cand in candidates:
         if have == k + count:
             break
-        rows = buf[:have]
         v = np.asarray(cand, dtype=float)
+        nz = np.flatnonzero(v)
+        if (
+            v.shape == (d,)
+            and nz.size == 1
+            and v[nz[0]] == 1.0
+            and not support[nz[0]]
+            and not np.signbit(v).any()
+        ):
+            buf[have] = v
+            support[nz[0]] = True
+            have += 1
+            continue
+        rows = buf[:have]
         v = v - rows.T @ (rows @ v)
         v = v - rows.T @ (rows @ v)  # second pass keeps orthogonality tight
         nrm = np.linalg.norm(v)
@@ -170,6 +196,7 @@ def gram_schmidt_extend(
         if lead < 0:
             v = -v
         buf[have] = v
+        support |= v != 0
         have += 1
     if have < k + count:
         raise ValueError(

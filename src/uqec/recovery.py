@@ -211,20 +211,23 @@ def apply_channel(channel: ErrorChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _group_error_classes(code: Code, ops: Sequence[ErrorOperator]) -> list[list[int]]:
-    """Group operator indices by identical action on both logical vectors."""
-    shift0 = [op.apply(code.logical0) for op in ops]
-    shift1 = [op.apply(code.logical1) for op in ops]
+def _shifted_codewords(code: Code, ops: Sequence[ErrorOperator]) -> np.ndarray:
+    """Row i is [W_i |0>_L, W_i |1>_L]: both shifted codewords of operator i."""
+    return np.array(
+        [np.concatenate([op.apply(code.logical0), op.apply(code.logical1)]) for op in ops]
+    )
+
+
+def _group_error_classes(shifts: np.ndarray) -> list[list[int]]:
+    """Group operator indices by identical action on both logical vectors:
+    each operator joins the first class whose representative's row of
+    `shifts` lies within CLASS_MERGE_TOL of its own in every entry."""
     groups: list[list[int]] = []
-    for i in range(len(ops)):
-        for grp in groups:
-            j = grp[0]
-            if (
-                float(np.max(np.abs(shift0[i] - shift0[j]))) <= CLASS_MERGE_TOL
-                and float(np.max(np.abs(shift1[i] - shift1[j]))) <= CLASS_MERGE_TOL
-            ):
-                grp.append(i)
-                break
+    for i, row in enumerate(shifts):
+        reps = shifts[[grp[0] for grp in groups]]
+        hits = np.flatnonzero(np.max(np.abs(reps - row), axis=1) <= CLASS_MERGE_TOL)
+        if hits.size:
+            groups[hits[0]].append(i)
         else:
             groups.append([i])
     return groups
@@ -234,17 +237,6 @@ def _class_label(members: Sequence[str]) -> str:
     if len(members) == 1:
         return members[0]
     return "{" + ",".join(members) + "}"
-
-
-def _rep_gram(code: Code, ops: Sequence[ErrorOperator], groups: Sequence[Sequence[int]]):
-    """Gram matrix of the class representatives' shifted codewords, stacked as
-    all logical-0 shifts then all logical-1 shifts."""
-    reps = [grp[0] for grp in groups]
-    stacked = np.array(
-        [ops[i].apply(code.logical0) for i in reps]
-        + [ops[i].apply(code.logical1) for i in reps]
-    )
-    return stacked @ stacked.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +261,19 @@ class KLReport:
 def validate_kl(code: Code, ops: Sequence[ErrorOperator]) -> KLReport:
     """Check the orthonormality condition that makes a recovery matrix exist,
     grouping operators with identical action on the code space first."""
-    groups = _group_error_classes(code, ops)
-    gram = _rep_gram(code, ops, groups)
-    dev = np.abs(gram - np.eye(gram.shape[0]))
+    shifts = _shifted_codewords(code, ops)
+    return _kl_report(ops, shifts, _group_error_classes(shifts))
+
+
+def _kl_report(
+    ops: Sequence[ErrorOperator], shifts: np.ndarray, groups: Sequence[Sequence[int]]
+) -> KLReport:
+    # Gram matrix of the class representatives' shifted codewords, stacked as
+    # all logical-0 shifts then all logical-1 shifts.
+    reps = shifts[[grp[0] for grp in groups]]
+    d = shifts.shape[1] // 2
+    stacked = np.vstack([reps[:, :d], reps[:, d:]])
+    dev = np.abs(stacked @ stacked.T - np.eye(stacked.shape[0]))
     wi, wj = np.unravel_index(int(dev.argmax()), dev.shape)
     k = len(groups)
 
@@ -349,8 +351,9 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
     orthonormal across classes.
     """
     ops = tuple(ops)
-    groups = _group_error_classes(code, ops)
-    report = validate_kl(code, ops)
+    shifts = _shifted_codewords(code, ops)
+    groups = _group_error_classes(shifts)
+    report = _kl_report(ops, shifts, groups)
     if report.gram_deviation > ORTHONORMAL_TOL:
         a, b = report.worst_pair
         raise KLViolationError(
@@ -373,10 +376,9 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
     rows = np.zeros((d, d))
     labels: list[RowLabel] = [RowLabel(None, None, "(completion)") for _ in range(d)]
     for c, grp in enumerate(groups):
-        rep = ops[grp[0]]
         cls_label = _class_label([ops[i].label for i in grp])
-        rows[c] = rep.apply(code.logical0)
-        rows[half + c] = rep.apply(code.logical1)
+        rows[c] = shifts[grp[0], :d]
+        rows[half + c] = shifts[grp[0], d:]
         labels[c] = RowLabel(0, c, cls_label)
         labels[half + c] = RowLabel(1, c, cls_label)
     if k < half:
@@ -392,7 +394,7 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
         code_name=code.name,
         matrix=rows,
         row_labels=tuple(labels),
-        classes=tuple(tuple(ops[i].label for i in grp) for grp in groups),
+        classes=report.classes,
         class_map=class_map,
     )
 

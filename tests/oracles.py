@@ -85,3 +85,51 @@ def partial_trace_brute(rho, d1, d2, keep_first):
                 for i in range(d1):
                     out[j, k] += rho[i * d2 + j, i * d2 + k]
     return out
+
+
+def gram_schmidt_extend_loop(accepted, candidates, count, skip_tol=1e-8):
+    """Gram-Schmidt completion with no shortcut: every candidate is projected
+    twice against all rows kept so far, skipped when its residual norm is
+    below skip_tol, normalized, and given a positive leading entry."""
+    accepted = np.asarray(accepted, dtype=float)
+    k, d = accepted.shape
+    buf = np.empty((k + count, d))
+    buf[:k] = accepted
+    have = k
+    for cand in candidates:
+        if have == k + count:
+            break
+        rows = buf[:have]
+        v = np.asarray(cand, dtype=float)
+        v = v - rows.T @ (rows @ v)
+        v = v - rows.T @ (rows @ v)
+        nrm = np.linalg.norm(v)
+        if nrm < skip_tol:
+            continue
+        v = v / nrm
+        lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
+        if lead < 0:
+            v = -v
+        buf[have] = v
+        have += 1
+    if have < k + count:
+        raise ValueError("candidates exhausted")
+    return buf[k:]
+
+
+def group_pairs_brute(shift0, shift1, tol):
+    """Group indices whose two vectors both match a group's first member
+    within tol in every entry, comparing one pair at a time."""
+    groups = []
+    for i in range(len(shift0)):
+        for grp in groups:
+            j = grp[0]
+            if (
+                np.max(np.abs(shift0[i] - shift0[j])) <= tol
+                and np.max(np.abs(shift1[i] - shift1[j])) <= tol
+            ):
+                grp.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups

@@ -202,6 +202,8 @@ class TestMalformedInput:
         ["verify", "--code", "bitflip3", "--tol", "inf"],
         ["demo", "--code", "bitflip3", "--probs", "1,0,0,0", "--alpha", "nan", "--beta", "0"],
         ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--samples", "-1"],
+        ["verify", "--code", "bitflip3", "--seed", "-1"],
+        ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--seed", "-3"],
     ])
     def test_exits_2_with_one_line_error(self, argv, tmp_path, capsys):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -210,6 +212,24 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestFormatChoices:
+    @pytest.mark.parametrize("argv", [
+        ["kl-check", "--code", "bitflip3", "--format", "csv"],
+        ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--format", "csv"],
+    ])
+    def test_csv_rejected_where_no_csv_is_written(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "invalid choice: 'csv'" in out.err
+
+    def test_verify_still_writes_csv(self, capsys):
+        assert main(["verify", "--code", "bitflip3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("code,alpha,beta,")
 
 
 class TestNonDiagonalAncilla:

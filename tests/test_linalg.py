@@ -19,7 +19,10 @@ from uqec.linalg import (
     write_matrix,
 )
 
-from oracles import kron_brute, partial_trace_brute
+from uqec.codes import CODE_NAMES, get_code
+from uqec.recovery import recovery_for
+
+from oracles import gram_schmidt_extend_loop, kron_brute, partial_trace_brute
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -174,6 +177,78 @@ class TestOrthonormalCompletion:
     def test_extend_raises_when_candidates_run_out(self):
         with pytest.raises(ValueError, match="exhausted"):
             gram_schmidt_extend(np.eye(2), [basis_vector(2, 0)], 1)
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def basis(d, order):
+    return [basis_vector(d, i) for i in order]
+
+
+def supported_rows(rng, d, support, n_rows):
+    """n_rows random orthonormal d-vectors that are zero outside `support`."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(support), len(support))))
+    rows = np.zeros((n_rows, d))
+    rows[:, support] = q[:n_rows]
+    return rows
+
+
+class TestGramSchmidtSkipsOnlyExactWork:
+    """gram_schmidt_extend keeps an outside-support e_i without projecting
+    it; its rows must equal, bit for bit, those of the loop that projects
+    every candidate (oracles.gram_schmidt_extend_loop)."""
+
+    def test_shor9_recovery_completion(self):
+        rec = recovery_for("shor9")
+        k, half = rec.n_classes, rec.dim // 2
+        pinned = np.vstack([rec.matrix[:k], rec.matrix[half : half + k]])
+        cands = basis(rec.dim, range(rec.dim))
+        count = rec.dim - 2 * k
+        assert_same_bits(
+            gram_schmidt_extend(pinned, cands, count),
+            gram_schmidt_extend_loop(pinned, cands, count),
+        )
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_both_encoder_completions(self, name):
+        code = get_code(name)
+        d, half = code.dim, code.dim // 2
+        pinned = np.vstack([code.logical0, code.logical1])
+        up, down = basis(d, range(d)), basis(d, range(d - 1, -1, -1))
+        lower = gram_schmidt_extend_loop(pinned, up, half - 1)
+        assert_same_bits(gram_schmidt_extend(pinned, up, half - 1), lower)
+        both = np.vstack([pinned, lower])
+        upper = gram_schmidt_extend_loop(both, down, half - 1)
+        assert_same_bits(gram_schmidt_extend(both, down, half - 1), upper)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_support_shuffled_candidates(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 64
+        support = rng.choice(d, size=int(rng.integers(1, d)), replace=False)
+        rows = supported_rows(rng, d, support, int(rng.integers(0, len(support) + 1)))
+        cands = basis(d, rng.permutation(d))
+        outside = np.setdiff1d(np.arange(d), support)
+        signed_zero = basis_vector(d, int(rng.integers(d)))
+        signed_zero[signed_zero == 0] = -0.0
+        extras = [rng.normal(size=d), signed_zero, 2.0 * basis_vector(d, int(support[0]))]
+        if outside.size:
+            extras.append(2.0 * basis_vector(d, int(rng.choice(outside))))
+        for v in extras:
+            cands.insert(int(rng.integers(len(cands) + 1)), v)
+        count = d - rows.shape[0]
+        assert_same_bits(
+            gram_schmidt_extend(rows, cands, count),
+            gram_schmidt_extend_loop(rows, cands, count),
+        )
+
+    def test_rejects_non_finite_accepted_rows(self):
+        rows = np.array([[np.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_schmidt_extend(rows, basis(3, range(3)), 2)
 
 
 class TestFrobeniusDistance:

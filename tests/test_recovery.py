@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from uqec import recovery
 from uqec.codes import (
+    CODE_NAMES,
     PureQubitState,
     bitflip3,
     divincenzo5,
@@ -13,6 +15,7 @@ from uqec.codes import (
 )
 from uqec.linalg import basis_vector, block_reversal, permutation_matrix, transposition
 from uqec.recovery import (
+    CLASS_MERGE_TOL,
     DensityMatrix,
     ErrorChannel,
     KLViolationError,
@@ -28,7 +31,7 @@ from uqec.recovery import (
     validate_kl,
 )
 
-from oracles import bitflip_channel_brute, bitflip_density_pattern
+from oracles import bitflip_channel_brute, bitflip_density_pattern, group_pairs_brute
 
 
 def encoded_density(code, alpha, beta):
@@ -257,6 +260,67 @@ class TestBuildRecovery:
         rec = build_recovery(code, ops)
         assert sum(1 for lbl in rec.row_labels if lbl.m is not None) == 4
         assert np.max(np.abs(rec.matrix @ rec.matrix.T - np.eye(8))) <= 1e-10
+
+
+def kl_fields_pairwise(code, ops):
+    """(classes, gram_deviation, worst_pair) of a KLReport, with classes
+    grouped one pair at a time and the representatives' Gram matrix taken
+    as stacked logical-0 shifts, then logical-1 shifts."""
+    shift0 = [op.apply(code.logical0) for op in ops]
+    shift1 = [op.apply(code.logical1) for op in ops]
+    groups = group_pairs_brute(shift0, shift1, CLASS_MERGE_TOL)
+    reps = [grp[0] for grp in groups]
+    stacked = np.array([shift0[i] for i in reps] + [shift1[i] for i in reps])
+    dev = np.abs(stacked @ stacked.T - np.eye(2 * len(reps)))
+    wi, wj = np.unravel_index(int(dev.argmax()), dev.shape)
+    k = len(reps)
+    worst = tuple(f"{ops[reps[r % k]].label}|{r // k}>_L" for r in (int(wi), int(wj)))
+    classes = tuple(tuple(ops[i].label for i in grp) for grp in groups)
+    return classes, float(dev.max()), worst
+
+
+class TestGroupOnce:
+    @pytest.fixture
+    def grouping_calls(self, monkeypatch):
+        calls = []
+        original = recovery._group_error_classes
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(recovery, "_group_error_classes", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_build_recovery_groups_once(self, name, grouping_calls):
+        code = get_code(name)
+        build_recovery(code, recovery_row_order(code))
+        assert len(grouping_calls) == 1
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_classes_and_report_match_pairwise_grouping(self, name):
+        code = get_code(name)
+        ops = recovery_row_order(code)
+        classes, deviation, worst = kl_fields_pairwise(code, ops)
+        rec = build_recovery(code, ops)
+        assert rec.classes == classes
+        assert rec.class_map == {lb: c for c, grp in enumerate(classes) for lb in grp}
+        report = validate_kl(code, ops)
+        assert report.classes == classes
+        assert report.degenerate_classes == tuple(c for c in classes if len(c) > 1)
+        assert report.gram_deviation == deviation
+        assert report.worst_pair == worst
+
+    def test_violation_names_the_same_pair(self):
+        code = bitflip3()
+        ops = standard_error_set(code) + (error_operator("Z", 1, 3),)
+        _, deviation, worst = kl_fields_pairwise(code, ops)
+        assert worst == ("I|0>_L", "Z_1|0>_L")
+        with pytest.raises(KLViolationError) as exc:
+            build_recovery(code, ops)
+        assert exc.value.pair == worst
+        assert exc.value.inner_product == deviation
 
 
 class TestApplyRecovery:
