@@ -23,7 +23,6 @@ from .analysis import (
     trajectory_statistics,
     verification_probability_vectors,
     verify_code,
-    verify_permutation_factorization_3qubit,
 )
 from .codes import (
     CODE_NAMES,
@@ -43,10 +42,6 @@ from .linalg import (
     QubitSplit,
     frobenius_distance,
     kron,
-    orthonormal_completion,
-    partial_trace,
-    permutation_matrix,
-    read_matrix,
     write_matrix,
 )
 from .recovery import (
@@ -55,15 +50,11 @@ from .recovery import (
     KLReport,
     KLViolationError,
     RecoveryMatrix,
-    apply_channel,
-    apply_recovery,
     build_recovery,
-    conventional_recovery_bitflip3,
     read_channel_file,
     recover_pure_state,
     recovery_for,
     recovery_row_order,
-    sample_trajectory,
     validate_kl,
 )
 

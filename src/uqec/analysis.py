@@ -7,31 +7,23 @@ exact, so a small residual certifies the tensor-product claim.
 
 Each case is computed in factor form (see recovery.recover_pure_state): the
 recovered state and both partial traces are Gram products B @ B.T, which are
-positive semidefinite by construction and skip the eigenvalue validation that
-user-supplied matrices get. The recovered state itself is never formed: its
-residual is taken in the span of the ancilla factor (check_product_form).
+positive semidefinite by construction. The recovered state itself is never
+formed: its residual is taken in the span of the ancilla factor
+(check_product_form).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
 from .codes import Code, PureQubitState, encode_state, get_code, standard_error_set
-from .linalg import (
-    QubitSplit,
-    block_reversal,
-    controlled_not,
-    frobenius_distance,
-    partial_trace,
-    permutation_matrix,
-    transposition,
-)
+from .linalg import QubitSplit, frobenius_distance
 from .recovery import (
     DensityMatrix,
     ErrorChannel,
@@ -82,11 +74,8 @@ def check_product_form(
 ) -> FactorizationResult:
     """Compare rho_out against the product q (x) a of its own partial traces.
 
-    Without a factor, the dense partial traces are taken and validated, and
-    the residual is the dense Frobenius distance ||rho_out - q (x) a||_F.
-
-    With a factor A (rho_out = A A^T) split into row blocks A_0, A_1, ... of
-    the first factor, each partial trace is a Gram product: q from
+    The factor A of rho_out = A A^T splits into row blocks A_0, A_1, ... of
+    the first factor, and each partial trace is a Gram product: q from
     A.reshape(first, rest * k), a = G G^T with G = [A_0 A_1 ...]. The residual
     is then taken in the span of G's columns, never at full dimension: with
     G = Q R (Householder QR, when G has fewer columns than rows) each A_i is
@@ -98,21 +87,17 @@ def check_product_form(
     """
     if rho_out.dim != split.total:
         raise ValueError(f"state dimension {rho_out.dim} != split total {split.total}")
-    if rho_out.factor is None:
-        reduced_first = DensityMatrix(partial_trace(rho_out.matrix, split, keep="first"))
-        reduced_rest = DensityMatrix(partial_trace(rho_out.matrix, split, keep="rest"))
-        joint, rest = rho_out.matrix, reduced_rest.matrix
-    else:
-        blocks = rho_out.factor.reshape(split.dim_first, split.dim_rest, -1)
-        g = blocks.transpose(1, 0, 2).reshape(split.dim_rest, -1)
-        reduced_first = DensityMatrix.from_factor(blocks.reshape(split.dim_first, -1))
-        reduced_rest = DensityMatrix.from_factor(g)
-        if g.shape[1] < g.shape[0]:
-            g = np.linalg.qr(g, mode="r")
-        stacked = g.reshape(g.shape[0], split.dim_first, -1).transpose(1, 0, 2)
-        stacked = stacked.reshape(split.dim_first * g.shape[0], -1)
-        joint, rest = stacked @ stacked.T, g @ g.T
-    residual = frobenius_distance(joint, _kron2(reduced_first.matrix, rest))
+    blocks = rho_out.factor.reshape(split.dim_first, split.dim_rest, -1)
+    g = blocks.transpose(1, 0, 2).reshape(split.dim_rest, -1)
+    reduced_first = DensityMatrix.from_factor(blocks.reshape(split.dim_first, -1))
+    reduced_rest = DensityMatrix.from_factor(g)
+    if g.shape[1] < g.shape[0]:
+        g = np.linalg.qr(g, mode="r")
+    stacked = g.reshape(g.shape[0], split.dim_first, -1).transpose(1, 0, 2)
+    stacked = stacked.reshape(split.dim_first * g.shape[0], -1)
+    residual = frobenius_distance(
+        stacked @ stacked.T, _kron2(reduced_first.matrix, g @ g.T)
+    )
     return FactorizationResult(
         reduced_qubit=reduced_first,
         reduced_ancilla=reduced_rest,
@@ -232,34 +217,6 @@ def run_experiment(
         syndrome=tuple(syndrome),
         passed=passed,
         tolerance=tol,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PermutationFactorizationCheck:
-    ok: bool
-    residuals: dict[str, float] = field(repr=False)
-
-
-def verify_permutation_factorization_3qubit() -> PermutationFactorizationCheck:
-    """Check that the 3-qubit recovery matrix built from shifted codewords
-    equals both of its two-permutation factorizations, and that the factors
-    are the controlled NOT-NOT and doubly-controlled NOT gate matrices."""
-    rec = recovery_for("bitflip3")
-    p34 = permutation_matrix(transposition(8, 3, 4))
-    p4567 = permutation_matrix(block_reversal(8, [4, 5, 6, 7]))
-    p37 = permutation_matrix(transposition(8, 3, 7))
-    c1x2x3 = controlled_not(3, controls=[1], targets=[2, 3])
-    x1c2c3 = controlled_not(3, controls=[2, 3], targets=[1])
-    residuals = {
-        "rows_vs_p4567_p34": frobenius_distance(rec.matrix, p4567 @ p34),
-        "rows_vs_p37_p4567": frobenius_distance(rec.matrix, p37 @ p4567),
-        "products_equal": frobenius_distance(p4567 @ p34, p37 @ p4567),
-        "p4567_vs_c1x2x3": frobenius_distance(p4567, c1x2x3),
-        "p37_vs_x1c2c3": frobenius_distance(p37, x1c2c3),
-    }
-    return PermutationFactorizationCheck(
-        ok=all(r == 0.0 for r in residuals.values()), residuals=residuals
     )
 
 
@@ -418,29 +375,38 @@ def _sidak_z_bound(terms: int, alpha: float = TRAJECTORY_ALPHA) -> float:
 
 # --- report serialization ---------------------------------------------------
 
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
+def to_json(value: object) -> str:
+    """One-line JSON for nested dicts (keys in insertion order), lists,
+    tuples, strings, bools, ints and floats. Floats are written at 17
+    significant digits and strings as json.dumps writes them, so equal inputs
+    give byte-identical documents."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, dict):
+        items = [f"{_json_string(k)}: {to_json(v)}" for k, v in value.items()]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join([to_json(v) for v in value]) + "]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return format(float(value), ".17g")
 
 
 def report_to_json(report: RecoveryReport) -> str:
     """Serialize a report with fixed key order and 17-significant-digit
     numbers, so byte-identical inputs give byte-identical documents."""
-    channel = ", ".join(
-        f'{{"label": {json.dumps(lb)}, "p": {_num(p)}}}' for lb, p in report.channel
-    )
-    syndrome = ", ".join(
-        f'{{"label": {json.dumps(lb)}, "p": {_num(p)}}}' for lb, p in report.syndrome
-    )
-    return (
-        "{"
-        f'"code": {json.dumps(report.code)}, '
-        f'"channel": [{channel}], '
-        f'"alpha": {_num(report.alpha)}, '
-        f'"beta": {_num(report.beta)}, '
-        f'"fidelity": {_num(report.fidelity)}, '
-        f'"residual": {_num(report.residual)}, '
-        f'"syndrome": [{syndrome}], '
-        f'"passed": {"true" if report.passed else "false"}, '
-        f'"tolerance": {_num(report.tolerance)}'
-        "}"
-    )
+    return to_json({
+        "code": report.code,
+        "channel": [{"label": lb, "p": p} for lb, p in report.channel],
+        "alpha": report.alpha,
+        "beta": report.beta,
+        "fidelity": report.fidelity,
+        "residual": report.residual,
+        "syndrome": [{"label": lb, "p": p} for lb, p in report.syndrome],
+        "passed": report.passed,
+        "tolerance": report.tolerance,
+    })

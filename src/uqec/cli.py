@@ -43,23 +43,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each command takes only the options it reads.
     def add_common(
         p: argparse.ArgumentParser,
         code_default: str | None = None,
         formats: tuple[str, ...] = ("json", "csv", "table"),
+        tol: bool = True,
+        seed: bool = True,
     ) -> None:
         p.add_argument("--code", default=code_default, required=code_default is None,
                        help="code name: bitflip3, divincenzo5, shor9")
-        p.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed (>= 0)")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
+        if seed:
+            p.add_argument("--seed", type=int, default=42, help="RNG seed (>= 0)")
         p.add_argument("--output", default=None, help="write output here instead of stdout")
-        p.add_argument("--format", choices=formats, default="table")
+        if formats:
+            p.add_argument("--format", choices=formats, default="table")
 
     p = sub.add_parser("verify", help="run the full verification grid")
     add_common(p, code_default="all")
 
     p = sub.add_parser("demo", help="run one experiment and print the report")
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument("--channel-file", default=None, help="channel spec file (label probability per line)")
     p.add_argument("--probs", default=None,
                    help="comma-separated probabilities in standard error-set order")
@@ -67,10 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
 
     p = sub.add_parser("kl-check", help="orthonormality and degeneracy of the error set")
-    add_common(p, formats=("json", "table"))
+    add_common(p, formats=("json", "table"), tol=False, seed=False)
 
     p = sub.add_parser("dump", help="write recovery matrix, encoder, and logical vectors")
-    add_common(p)
+    add_common(p, formats=(), tol=False, seed=False)
 
     p = sub.add_parser("trajectory", help="Monte Carlo cross-check at state-vector level")
     add_common(p, formats=("json", "table"))
@@ -225,17 +231,12 @@ def cmd_kl_check(args: argparse.Namespace) -> int:
         code = get_code(name)
         report = validate_kl(code, standard_error_set(code))
         if args.format == "json":
-            groups = ", ".join(
-                "[" + ", ".join(f'"{lb}"' for lb in grp) + "]" for grp in report.classes
-            )
-            lines.append(
-                "{"
-                f'"code": "{name}", '
-                f'"gram_deviation": {format(report.gram_deviation, ".17g")}, '
-                f'"classes": [{groups}], '
-                f'"nondegenerate": {"true" if report.is_nondegenerate else "false"}'
-                "}"
-            )
+            lines.append(analysis.to_json({
+                "code": name,
+                "gram_deviation": report.gram_deviation,
+                "classes": report.classes,
+                "nondegenerate": report.is_nondegenerate,
+            }))
         else:
             lines.append(f"{name}: gram deviation {report.gram_deviation:.3e}, "
                          f"{len(report.classes)} error classes")
@@ -286,26 +287,26 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         codes[0], channel, psi, samples=args.samples, seed=args.seed, tol=args.tol
     )
     if args.format == "json":
-        entries = ", ".join(
-            "{"
-            f'"label": "{e.label}", "class": "{e.class_label}", '
-            f'"p": {format(e.probability, ".17g")}, '
-            f'"count": {e.count}, '
-            f'"frequency": {format(e.frequency, ".17g")}, '
-            f'"bound_3sigma": {format(e.bound_3sigma, ".17g")}, '
-            f'"within": {"true" if e.within_bound else "false"}'
-            "}"
+        entries = [
+            {
+                "label": e.label,
+                "class": e.class_label,
+                "p": e.probability,
+                "count": e.count,
+                "frequency": e.frequency,
+                "bound_3sigma": e.bound_3sigma,
+                "within": e.within_bound,
+            }
             for e in report.entries
-        )
-        _emit(
-            "{"
-            f'"code": "{report.code}", "samples": {report.samples}, '
-            f'"seed": {report.seed}, "entries": [{entries}], '
-            f'"max_recovery_error": {format(report.max_recovery_error, ".17g")}, '
-            f'"passed": {"true" if report.passed else "false"}'
-            "}",
-            args.output,
-        )
+        ]
+        _emit(analysis.to_json({
+            "code": report.code,
+            "samples": report.samples,
+            "seed": report.seed,
+            "entries": entries,
+            "max_recovery_error": report.max_recovery_error,
+            "passed": report.passed,
+        }), args.output)
     else:
         lines = [
             f"{report.code}: {report.samples} samples, seed {report.seed}",
@@ -336,11 +337,12 @@ _COMMANDS = {
 
 
 def _check_numbers(args: argparse.Namespace) -> None:
-    if not 0.0 <= args.tol < math.inf:  # NaN fails this too
+    # A command without the option passes its check.
+    if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:  # NaN fails this too
         raise CliError(f"--tol must be finite and >= 0, got {args.tol!r}")
     if not getattr(args, "samples", 1) >= 1:
         raise CliError(f"--samples must be >= 1, got {args.samples!r}")
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed!r}")
 
 

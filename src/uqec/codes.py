@@ -8,16 +8,11 @@ All amplitudes are real; Y is the real matrix [[0,-1],[1,0]].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import basis_vector, gram_schmidt_extend, kron
-
-X = np.array([[0.0, 1.0], [1.0, 0.0]])
-Y = np.array([[0.0, -1.0], [1.0, 0.0]])
-Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-I2 = np.eye(2)
 
 # Signed-permutation form of each single-qubit operator: column j carries a
 # single entry signs[j] in row perm[j].
@@ -53,23 +48,15 @@ class PureQubitState:
     def vector(self) -> np.ndarray:
         return np.array([self.alpha, self.beta])
 
-    @property
-    def density(self) -> np.ndarray:
-        v = self.vector
-        return np.outer(v, v)
-
 
 @dataclass(frozen=True, eq=False)
 class ErrorOperator:
     """A Pauli operator embedded on n qubits as a signed permutation matrix.
 
-    perm and signs give the column decomposition (column j has the single
-    entry signs[j] in row perm[j]); matrix is the dense 2^n x 2^n embedding,
-    built from them on first read.
+    perm and signs give the column decomposition: column j has the single
+    entry signs[j] in row perm[j].
     """
 
-    kind: str
-    qubit: int
     n: int
     label: str
     perm: np.ndarray = field(repr=False)
@@ -79,23 +66,10 @@ class ErrorOperator:
     def dim(self) -> int:
         return 2 ** self.n
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        m[self.perm, np.arange(self.dim)] = self.signs
-        return _freeze(m)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """W @ vec without forming the product."""
         out = np.empty_like(np.asarray(vec, dtype=float))
         out[self.perm] = self.signs * vec
-        return out
-
-    def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        """W @ rho @ W.T via index arithmetic: entry (i,j) of rho lands at
-        (perm[i], perm[j]) with sign signs[i]*signs[j]."""
-        out = np.empty_like(np.asarray(rho, dtype=float))
-        out[np.ix_(self.perm, self.perm)] = rho * self.signs[:, None] * self.signs[None, :]
         return out
 
 
@@ -111,12 +85,9 @@ def error_operator(kind: str, qubit: int, n: int) -> ErrorOperator:
         p, s = _SIGNED_PERM[kind if (kind != "I" and q == qubit) else "I"]
         perm = (perm[:, None] * 2 + p[None, :]).ravel()
         signs = np.outer(signs, s).ravel()
-    label = "I" if kind == "I" else f"{kind}_{qubit}"
     return ErrorOperator(
-        kind=kind,
-        qubit=0 if kind == "I" else qubit,
         n=n,
-        label=label,
+        label="I" if kind == "I" else f"{kind}_{qubit}",
         perm=_freeze(perm),
         signs=_freeze(signs),
     )
@@ -146,14 +117,10 @@ class Code:
         return 2 ** self.n
 
 
-def _idx(bits: str) -> int:
-    return int(bits, 2)
-
-
 def _signed_superposition(terms: tuple[tuple[str, int], ...], amplitude: float, n: int) -> np.ndarray:
     v = np.zeros(2 ** n)
     for bits, sign in terms:
-        v[_idx(bits)] = sign * amplitude
+        v[int(bits, 2)] = sign * amplitude
     return v
 
 

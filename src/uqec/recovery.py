@@ -12,7 +12,6 @@ one error class with a single row pair.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -39,28 +38,12 @@ class KLViolationError(ValueError):
 
 
 class DensityMatrix:
-    """Real symmetric, trace-1, positive semidefinite matrix.
-
-    factor is set only by from_factor: a real B with matrix == B @ B.T. Such a
-    state forms its read-only matrix on first use, so code that works on the
-    factor alone never builds it.
+    """Real symmetric, trace-1, positive semidefinite matrix B @ B.T, held as
+    its real factor B (from_factor). The read-only matrix is formed on first
+    use, so code that works on the factor alone never builds it.
     """
 
-    factor: np.ndarray | None = None
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has non-finite entries")
-        if float(np.max(np.abs(m - m.T))) > 1e-12:
-            raise ValueError("density matrix is not symmetric")
-        _check_trace(float(np.trace(m)))
-        if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
-            raise ValueError("density matrix is not positive semidefinite")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    factor: np.ndarray
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
@@ -73,12 +56,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return (self.matrix if self.factor is None else self.factor).shape[0]
-
-    @classmethod
-    def from_state(cls, vec: np.ndarray) -> "DensityMatrix":
-        vec = np.asarray(vec, dtype=float)
-        return cls(np.outer(vec, vec))
+        return self.factor.shape[0]
 
     @classmethod
     def from_factor(cls, factor: np.ndarray) -> "DensityMatrix":
@@ -86,25 +64,21 @@ class DensityMatrix:
 
         B @ B.T is positive semidefinite for every real B, and numpy computes
         it exactly symmetric, so only finiteness and the trace (the squared
-        norm of B) are checked: the eigenvalue test that guards matrices from
-        outside could not fail.
+        norm of B) are checked: an eigenvalue test could not fail.
         """
         b = np.ascontiguousarray(factor, dtype=float)
         if b.ndim != 2:
             raise ValueError(f"factor must be 2-D, got shape {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("factor has non-finite entries")
-        _check_trace(float(np.vdot(b, b)))
+        trace = float(np.vdot(b, b))
+        # Written so that a NaN or inf trace fails it.
+        if not abs(trace - 1.0) <= 1e-12:
+            raise ValueError(f"trace is {trace!r}, expected 1")
         b.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "factor", b)
         return rho
-
-
-def _check_trace(trace: float) -> None:
-    # Written so that a NaN or inf trace fails it.
-    if not abs(trace - 1.0) <= 1e-12:
-        raise ValueError(f"trace is {trace!r}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +103,6 @@ class ErrorChannel:
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([p for p, _ in self.terms])
-
-    @property
-    def operators(self) -> tuple[ErrorOperator, ...]:
-        return tuple(op for _, op in self.terms)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -198,17 +168,6 @@ def read_channel_file(path: str | Path, code: Code) -> ErrorChannel:
         return ErrorChannel.from_probs(ops, normalized_probabilities(probs))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def apply_channel(channel: ErrorChannel, rho: DensityMatrix) -> DensityMatrix:
-    """sum_i p_i W_i rho W_i^T."""
-    if channel.dim != rho.dim:
-        raise ValueError(f"channel dimension {channel.dim} != state dimension {rho.dim}")
-    out = np.zeros_like(rho.matrix)
-    for p, op in channel.terms:
-        if p:
-            out += p * op.conjugate(rho.matrix)
-    return DensityMatrix(out)
 
 
 def _shifted_codewords(code: Code, ops: Sequence[ErrorOperator]) -> np.ndarray:
@@ -292,11 +251,10 @@ def _kl_report(
 
 @dataclass(frozen=True, eq=False)
 class RowLabel:
-    """Provenance of one recovery-matrix row: logical value and error class
-    for labeled rows, m=None for completion rows."""
+    """Provenance of one recovery-matrix row: logical value and error-class
+    label for labeled rows, m=None for completion rows."""
 
     m: int | None
-    class_index: int | None
     label: str
 
 
@@ -374,13 +332,13 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
         )
 
     rows = np.zeros((d, d))
-    labels: list[RowLabel] = [RowLabel(None, None, "(completion)") for _ in range(d)]
+    labels: list[RowLabel] = [RowLabel(None, "(completion)") for _ in range(d)]
     for c, grp in enumerate(groups):
         cls_label = _class_label([ops[i].label for i in grp])
         rows[c] = shifts[grp[0], :d]
         rows[half + c] = shifts[grp[0], d:]
-        labels[c] = RowLabel(0, c, cls_label)
-        labels[half + c] = RowLabel(1, c, cls_label)
+        labels[c] = RowLabel(0, cls_label)
+        labels[half + c] = RowLabel(1, cls_label)
     if k < half:
         pinned = np.vstack([rows[:k], rows[half : half + k]])
         completion = gram_schmidt_extend(
@@ -420,24 +378,12 @@ def recovery_for(code_name: str) -> RecoveryMatrix:
     return build_recovery(code, recovery_row_order(code))
 
 
-def apply_recovery(recovery: RecoveryMatrix, rho_err: DensityMatrix) -> DensityMatrix:
-    """R rho R^T."""
-    if recovery.dim != rho_err.dim:
-        raise ValueError(
-            f"recovery dimension {recovery.dim} != state dimension {rho_err.dim}"
-        )
-    r = recovery.matrix
-    return DensityMatrix(r @ rho_err.matrix @ r.T)
-
-
 def recover_pure_state(
     recovery: RecoveryMatrix, channel: ErrorChannel, state: np.ndarray
 ) -> DensityMatrix:
     """R (sum_i p_i W_i psi psi^T W_i^T) R^T for a pure input psi, in factor
     form: A @ A.T with A = R [sqrt(p_i) W_i psi], one column per term with
-    p_i > 0. Neither the corrupted state nor R rho R^T is formed densely;
-    apply_recovery(recovery, apply_channel(channel, DensityMatrix.from_state(psi)))
-    is the same matrix up to rounding."""
+    p_i > 0. Neither the corrupted state nor R rho R^T is formed densely."""
     state = np.asarray(state, dtype=float)
     if not recovery.dim == channel.dim == state.shape[0]:
         raise ValueError(
@@ -446,56 +392,3 @@ def recover_pure_state(
         )
     columns = [np.sqrt(p) * op.apply(state) for p, op in channel.terms if p > 0]
     return DensityMatrix.from_factor(recovery.matrix @ np.column_stack(columns))
-
-
-@lru_cache(maxsize=1)
-def _bitflip3_projector_ops():
-    ops = standard_error_set(get_code("bitflip3"))
-    p07 = np.zeros((8, 8))
-    p07[0, 0] = p07[7, 7] = 1.0
-    return ops, p07
-
-
-def conventional_recovery_bitflip3(rho_err: DensityMatrix) -> DensityMatrix:
-    """Projective recovery channel for the 3-qubit code, used as a comparison
-    oracle: apply every single bit flip, then project onto the code space
-    spanned by |000> and |111>.
-
-    On states reachable from the code space through the bit-flip channel this
-    reproduces the encoded state exactly. The flipped copies of the two code
-    basis vectors tile the whole space, so the projection preserves trace for
-    any unit-trace input; the renormalization and zero-trace guards only
-    engage on malformed input.
-    """
-    if rho_err.dim != 8:
-        raise ValueError(f"expected an 8-dimensional state, got {rho_err.dim}")
-    ops, p07 = _bitflip3_projector_ops()
-    flipped = np.zeros_like(rho_err.matrix)
-    for op in ops:
-        flipped += op.conjugate(rho_err.matrix)
-    projected = p07 @ flipped @ p07
-    trace = float(np.trace(projected))
-    if trace < 1e-12:
-        raise ValueError("projection annihilated the state; input is outside the correctable family")
-    if abs(trace - 1.0) > 1e-12:
-        warnings.warn(
-            f"projective recovery lost trace {1.0 - trace:.3e}; input is outside "
-            "the correctable family, output renormalized",
-            stacklevel=2,
-        )
-        projected = projected / trace
-    return DensityMatrix(projected)
-
-
-def sample_trajectory(
-    channel: ErrorChannel, state: np.ndarray, seed: int
-) -> tuple[int, np.ndarray]:
-    """Draw one channel term index i with probability p_i and return
-    (i, W_i @ state). A fresh generator is created from the seed, so equal
-    seeds give equal draws."""
-    state = np.asarray(state, dtype=float)
-    if abs(float(state @ state) - 1.0) > 1e-9:
-        raise ValueError("state must be normalized")
-    rng = np.random.default_rng(seed)
-    i = int(rng.choice(len(channel.terms), p=channel.probabilities))
-    return i, channel.terms[i][1].apply(state)

@@ -1,0 +1,269 @@
+"""The dense reference pipeline that the factor-form path is checked against:
+full d x d states, the channel by scatter conjugation, R rho R^T by two full
+matrix products, partial traces by index contraction. Unlike oracles.py it
+builds on the package's codes, recovery matrices and report types."""
+
+from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from uqec import recovery
+from uqec.analysis import DEFAULT_TOL, FactorizationResult
+from uqec.codes import ErrorOperator, get_code, standard_error_set
+from uqec.linalg import (
+    ORTHONORMAL_TOL, QubitSplit, basis_vector, frobenius_distance, gram_schmidt_extend,
+)
+from uqec.recovery import ErrorChannel, RecoveryMatrix, recovery_for
+
+
+class DensityMatrix(recovery.DensityMatrix):
+    """A density matrix given densely and validated in full: square, finite,
+    symmetric, trace 1 and positive semidefinite (eigvalsh). from_factor is
+    inherited, so the factor form is available as well."""
+
+    factor = None
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"density matrix must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
+        if float(np.max(np.abs(m - m.T))) > 1e-12:
+            raise ValueError("density matrix is not symmetric")
+        trace = float(np.trace(m))
+        if not abs(trace - 1.0) <= 1e-12:
+            raise ValueError(f"trace is {trace!r}, expected 1")
+        if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
+            raise ValueError("density matrix is not positive semidefinite")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0] if self.factor is None else super().dim
+
+    @classmethod
+    def from_state(cls, vec: np.ndarray) -> "DensityMatrix":
+        vec = np.asarray(vec, dtype=float)
+        return cls(np.outer(vec, vec))
+
+
+@cache
+def operator_matrix(op: ErrorOperator) -> np.ndarray:
+    """The dense, read-only 2^n x 2^n matrix of a signed permutation."""
+    m = np.zeros((op.dim, op.dim))
+    m[op.perm, np.arange(op.dim)] = op.signs
+    m.setflags(write=False)
+    return m
+
+
+def conjugate(op: ErrorOperator, rho: np.ndarray) -> np.ndarray:
+    """W @ rho @ W.T via index arithmetic: entry (i,j) of rho lands at
+    (perm[i], perm[j]) with sign signs[i]*signs[j]."""
+    out = np.empty_like(np.asarray(rho, dtype=float))
+    out[np.ix_(op.perm, op.perm)] = rho * op.signs[:, None] * op.signs[None, :]
+    return out
+
+
+def apply_channel(channel: ErrorChannel, rho: DensityMatrix) -> DensityMatrix:
+    """sum_i p_i W_i rho W_i^T."""
+    if channel.dim != rho.dim:
+        raise ValueError(f"channel dimension {channel.dim} != state dimension {rho.dim}")
+    out = np.zeros_like(rho.matrix)
+    for p, op in channel.terms:
+        if p:
+            out += p * conjugate(op, rho.matrix)
+    return DensityMatrix(out)
+
+
+def apply_recovery(rec: RecoveryMatrix, rho_err: DensityMatrix) -> DensityMatrix:
+    """R rho R^T."""
+    if rec.dim != rho_err.dim:
+        raise ValueError(f"recovery dimension {rec.dim} != state dimension {rho_err.dim}")
+    r = rec.matrix
+    return DensityMatrix(r @ rho_err.matrix @ r.T)
+
+
+def recovered_terms(
+    rec: RecoveryMatrix, ops: Sequence[ErrorOperator], state: np.ndarray
+) -> np.ndarray:
+    """R W_i psi psi^T W_i^T R^T for each operator, stacked on axis 0, each by
+    scatter conjugation and two full matrix products. The channel and R rho R^T
+    are linear in the probabilities, so np.tensordot(probs, terms, axes=1) is
+    the dense recovered state of the channel with those probabilities."""
+    rho = np.outer(state, state)
+    r = rec.matrix
+    return np.stack([r @ conjugate(op, rho) @ r.T for op in ops])
+
+
+def partial_trace(rho: np.ndarray, split: QubitSplit, keep: str = "first") -> np.ndarray:
+    """Reduce a joint matrix to one factor of the given bipartition.
+
+    keep="first" returns the dim_first x dim_first reduction (trace over the
+    rest); keep="rest" the dim_rest x dim_rest one. The trace is preserved.
+    """
+    rho = np.asarray(rho, dtype=float)
+    d = split.total
+    if rho.shape != (d, d):
+        raise ValueError(f"matrix is {rho.shape}, split expects {(d, d)}")
+    t = rho.reshape(split.dim_first, split.dim_rest, split.dim_first, split.dim_rest)
+    if keep == "first":
+        return np.einsum("ijkj->ik", t)
+    if keep == "rest":
+        return np.einsum("ijik->jk", t)
+    raise ValueError(f"keep must be 'first' or 'rest', got {keep!r}")
+
+
+def check_product_form_dense(
+    rho_out: DensityMatrix, split: QubitSplit, tol: float = DEFAULT_TOL
+) -> FactorizationResult:
+    """analysis.check_product_form on the full matrix: both partial traces are
+    taken and validated, and the residual is ||rho_out - q (x) a||_F."""
+    if rho_out.dim != split.total:
+        raise ValueError(f"state dimension {rho_out.dim} != split total {split.total}")
+    qubit = DensityMatrix(partial_trace(rho_out.matrix, split, keep="first"))
+    ancilla = DensityMatrix(partial_trace(rho_out.matrix, split, keep="rest"))
+    residual = frobenius_distance(rho_out.matrix, np.kron(qubit.matrix, ancilla.matrix))
+    return FactorizationResult(
+        reduced_qubit=qubit,
+        reduced_ancilla=ancilla,
+        residual=residual,
+        is_product=residual <= tol,
+    )
+
+
+def conventional_recovery_bitflip3(rho_err: DensityMatrix) -> DensityMatrix:
+    """Projective recovery channel for the 3-qubit code, used as a comparison
+    oracle: apply every single bit flip, then project onto the code space
+    spanned by |000> and |111>.
+
+    On states reachable from the code space through the bit-flip channel this
+    reproduces the encoded state exactly. The flipped copies of the two code
+    basis vectors tile the whole space, so the projection preserves trace for
+    any unit-trace input.
+    """
+    if rho_err.dim != 8:
+        raise ValueError(f"expected an 8-dimensional state, got {rho_err.dim}")
+    ops = standard_error_set(get_code("bitflip3"))
+    flipped = sum(conjugate(op, rho_err.matrix) for op in ops)
+    p07 = np.zeros((8, 8))
+    p07[0, 0] = p07[7, 7] = 1.0
+    return DensityMatrix(p07 @ flipped @ p07)
+
+
+def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
+    """Orthogonal 0/1 matrix M with M |j> = |perm[j]>."""
+    perm = np.asarray(perm, dtype=int)
+    d = perm.shape[0]
+    if sorted(perm.tolist()) != list(range(d)):
+        raise ValueError("index map is not a bijection of 0..d-1")
+    m = np.zeros((d, d))
+    m[perm, np.arange(d)] = 1.0
+    return m
+
+
+def transposition(d: int, i: int, j: int) -> np.ndarray:
+    """Index map swapping basis vectors i and j, identity elsewhere."""
+    perm = np.arange(d)
+    perm[i], perm[j] = j, i
+    return perm
+
+
+def block_reversal(d: int, indices: Sequence[int]) -> np.ndarray:
+    """Index map reversing the order of the given basis vectors."""
+    perm = np.arange(d)
+    idx = list(indices)
+    for k, i in enumerate(idx):
+        perm[i] = idx[len(idx) - 1 - k]
+    return perm
+
+
+def controlled_not(n: int, controls: Sequence[int], targets: Sequence[int]) -> np.ndarray:
+    """Permutation matrix of a multi-control, multi-target NOT on n qubits.
+
+    Qubits are numbered 1..n with qubit 1 as the most significant bit of the
+    basis index. When every control bit is 1, all target bits flip.
+    """
+    d = 2 ** n
+    perm = np.arange(d)
+    control_mask = sum(1 << (n - q) for q in controls)
+    target_mask = sum(1 << (n - q) for q in targets)
+    for j in range(d):
+        if j & control_mask == control_mask:
+            perm[j] = j ^ target_mask
+    return permutation_matrix(perm)
+
+
+@dataclass(frozen=True, eq=False)
+class PermutationFactorizationCheck:
+    ok: bool
+    residuals: dict[str, float] = field(repr=False)
+
+
+def verify_permutation_factorization_3qubit() -> PermutationFactorizationCheck:
+    """Check that the 3-qubit recovery matrix built from shifted codewords
+    equals both of its two-permutation factorizations, and that the factors
+    are the controlled NOT-NOT and doubly-controlled NOT gate matrices."""
+    rec = recovery_for("bitflip3")
+    p34 = permutation_matrix(transposition(8, 3, 4))
+    p4567 = permutation_matrix(block_reversal(8, [4, 5, 6, 7]))
+    p37 = permutation_matrix(transposition(8, 3, 7))
+    c1x2x3 = controlled_not(3, controls=[1], targets=[2, 3])
+    x1c2c3 = controlled_not(3, controls=[2, 3], targets=[1])
+    residuals = {
+        "rows_vs_p4567_p34": frobenius_distance(rec.matrix, p4567 @ p34),
+        "rows_vs_p37_p4567": frobenius_distance(rec.matrix, p37 @ p4567),
+        "products_equal": frobenius_distance(p4567 @ p34, p37 @ p4567),
+        "p4567_vs_c1x2x3": frobenius_distance(p4567, c1x2x3),
+        "p37_vs_x1c2c3": frobenius_distance(p37, x1c2c3),
+    }
+    return PermutationFactorizationCheck(
+        ok=all(r == 0.0 for r in residuals.values()), residuals=residuals
+    )
+
+
+def orthonormal_completion(rows: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """Complete the given mutually orthonormal d-vectors to a full orthogonal
+    d x d matrix whose first rows are the inputs.
+
+    Missing rows are filled by Gram-Schmidt over the standard basis in index
+    order. Raises if the inputs are not already orthonormal, naming the worst
+    offending pair and its inner product.
+    """
+    rows = np.asarray(rows, dtype=float).reshape(-1, d)
+    k = rows.shape[0]
+    if k > d:
+        raise ValueError(f"{k} rows cannot be orthonormal in dimension {d}")
+    gram = rows @ rows.T
+    dev = np.abs(gram - np.eye(k))
+    if k and float(dev.max()) > ORTHONORMAL_TOL:
+        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+        raise ValueError(
+            f"input rows {i} and {j} are not orthonormal: <r{i}|r{j}> = {gram[i, j]!r}"
+        )
+    if k == d:
+        return rows.copy()
+    completion = gram_schmidt_extend(rows, (basis_vector(d, i) for i in range(d)), d - k)
+    return np.vstack([rows, completion])
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Inverse of linalg.format_matrix."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix text")
+    rows, cols = (int(t) for t in lines[0].split())
+    if len(lines) - 1 != rows:
+        raise ValueError(f"expected {rows} data lines, found {len(lines) - 1}")
+    m = np.array([[float(t) for t in ln.split()] for ln in lines[1:]])
+    if m.shape != (rows, cols):
+        raise ValueError(f"matrix body is {m.shape}, header says {(rows, cols)}")
+    return m
+
+
+def read_matrix(path: str | Path) -> np.ndarray:
+    return parse_matrix(Path(path).read_text())

@@ -3,17 +3,13 @@ one PASS/FAIL line (run with `pytest -s` to see them, or `pytest -v` for the
 per-test verdicts)."""
 
 import numpy as np
-import pytest
 
 from uqec.analysis import (
     INPUT_STATES,
-    check_product_form,
-    fidelity_pure,
     run_experiment,
     simplex_grid,
     trajectory_statistics,
     verification_probability_vectors,
-    verify_permutation_factorization_3qubit,
 )
 from uqec.codes import (
     PureQubitState,
@@ -22,24 +18,20 @@ from uqec.codes import (
     get_code,
     standard_error_set,
 )
-from uqec.linalg import (
-    QubitSplit,
+from uqec.linalg import QubitSplit
+from uqec.recovery import ErrorChannel, recovery_for, validate_kl
+
+from dense import (
+    DensityMatrix,
+    apply_channel,
     block_reversal,
     controlled_not,
+    conventional_recovery_bitflip3,
     partial_trace,
     permutation_matrix,
     transposition,
+    verify_permutation_factorization_3qubit,
 )
-from uqec.recovery import (
-    DensityMatrix,
-    ErrorChannel,
-    apply_channel,
-    apply_recovery,
-    conventional_recovery_bitflip3,
-    recovery_for,
-    validate_kl,
-)
-
 from oracles import bitflip_channel_brute, bitflip_density_pattern
 
 

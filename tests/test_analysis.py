@@ -13,10 +13,10 @@ from uqec.analysis import (
     run_experiment,
     simplex_grid,
     syndrome_distribution,
+    to_json,
     trajectory_statistics,
     verification_probability_vectors,
     verify_code,
-    verify_permutation_factorization_3qubit,
 )
 from uqec.codes import (
     CODE_NAMES,
@@ -26,14 +26,15 @@ from uqec.codes import (
     get_code,
     standard_error_set,
 )
-from uqec.linalg import QubitSplit, basis_vector, partial_trace
-from uqec.recovery import (
+from uqec.linalg import QubitSplit, basis_vector
+from uqec.recovery import ErrorChannel, recover_pure_state, recovery_for
+
+from dense import (
     DensityMatrix,
-    ErrorChannel,
-    apply_channel,
-    apply_recovery,
-    recover_pure_state,
-    recovery_for,
+    check_product_form_dense,
+    partial_trace,
+    recovered_terms,
+    verify_permutation_factorization_3qubit,
 )
 
 
@@ -47,7 +48,7 @@ class TestCheckProductForm:
         rho0 = np.array([[0.36, 0.48], [0.48, 0.64]])
         sigma = np.diag([0.5, 0.05, 0.15, 0.3])
         out = DensityMatrix(np.kron(rho0, sigma))
-        result = check_product_form(out, QubitSplit(2, 4))
+        result = check_product_form_dense(out, QubitSplit(2, 4))
         assert result.residual <= 1e-14
         assert result.is_product
         assert np.max(np.abs(result.reduced_ancilla.matrix - sigma)) <= 1e-14
@@ -55,7 +56,7 @@ class TestCheckProductForm:
 
     def test_entangled_state_is_not_product(self):
         bell = (basis_vector(4, 0) + basis_vector(4, 3)) / np.sqrt(2)
-        result = check_product_form(DensityMatrix.from_state(bell), QubitSplit(2, 2))
+        result = check_product_form_dense(DensityMatrix.from_state(bell), QubitSplit(2, 2))
         # both reductions are I/2, so the residual is ||rho - I/4|| = sqrt(3)/2
         assert result.residual == pytest.approx(np.sqrt(0.75), abs=1e-12)
         assert result.residual > 0.4
@@ -67,7 +68,7 @@ class TestCheckProductForm:
             a = rng.dirichlet(np.ones(2))
             b = rng.dirichlet(np.ones(4))
             out = DensityMatrix(np.kron(np.diag(a), np.diag(b)))
-            assert check_product_form(out, QubitSplit(2, 4)).residual <= 1e-12
+            assert check_product_form_dense(out, QubitSplit(2, 4)).residual <= 1e-12
 
     def test_dimension_mismatch(self):
         rho = DensityMatrix.from_state(basis_vector(4, 0))
@@ -93,7 +94,7 @@ class TestCheckProductForm:
         split = QubitSplit(2, rest)
         rho = DensityMatrix.from_factor(a)
         fast = check_product_form(rho, split)
-        dense = check_product_form(DensityMatrix(a @ a.T), split)
+        dense = check_product_form_dense(DensityMatrix(a @ a.T), split)
         assert abs(fast.residual - dense.residual) <= 1e-15
         assert fast.is_product == dense.is_product
         if eps is None:
@@ -108,7 +109,7 @@ class TestCheckProductForm:
 class TestFidelityPure:
     def test_pure_self_fidelity(self):
         psi = PureQubitState(0.6, 0.8)
-        assert fidelity_pure(DensityMatrix(psi.density), psi) == pytest.approx(1.0, abs=1e-15)
+        assert fidelity_pure(DensityMatrix(np.outer(psi.vector, psi.vector)), psi) == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed(self):
         rho = DensityMatrix(0.5 * np.eye(2))
@@ -285,7 +286,11 @@ class TestTrajectoryStatistics:
 class TestFactorPathMatchesDenseOracle:
     """run_experiment computes each case in factor form; the dense channel and
     R rho R^T path must agree with it to 1e-14 (float64 rounding over sums of
-    at most 28 terms) over the whole verify grid, with identical verdicts."""
+    at most 28 terms) over the whole verify grid, with identical verdicts.
+
+    The dense state of a case is the p-weighted sum of the dense recovered
+    terms R W_i rho W_i^T R^T, each formed once per input state
+    (dense.recovered_terms): both the channel and R rho R^T are linear in p."""
 
     @pytest.mark.parametrize("name", CODE_NAMES)
     def test_verify_grid(self, name):
@@ -293,14 +298,14 @@ class TestFactorPathMatchesDenseOracle:
         ops = standard_error_set(code)
         rec = recovery_for(name)
         split = QubitSplit(2, code.dim // 2)
+        grid = verification_probability_vectors(len(ops), seed=42)
         worst = 0.0
-        for probs in verification_probability_vectors(len(ops), seed=42):
-            channel = ErrorChannel.from_probs(ops, probs)
-            for psi in INPUT_STATES:
-                encoded = encode_state(code, psi)
-                dense = apply_recovery(
-                    rec, apply_channel(channel, DensityMatrix.from_state(encoded))
-                ).matrix
+        for psi in INPUT_STATES:
+            encoded = encode_state(code, psi)
+            terms = recovered_terms(rec, ops, encoded)
+            for probs in grid:
+                channel = ErrorChannel.from_probs(ops, probs)
+                dense = np.tensordot(probs, terms, axes=1)
                 report = run_experiment(code, channel, psi)
                 fact = report.factorization
                 qubit = partial_trace(dense, split, keep="first")
@@ -345,3 +350,14 @@ class TestReportJson:
         a = report_to_json(run_experiment("bitflip3", ch, psi))
         b = report_to_json(run_experiment("bitflip3", ch, psi))
         assert a == b
+
+
+class TestToJson:
+    def test_numbers_bools_and_escaped_strings(self):
+        doc = {"label": 'a "b"\n', "v": [{"p": 0.7, "n": 3}, (True, np.bool_(False))], "e": []}
+        text = to_json(doc)
+        assert text == (
+            '{"label": "a \\"b\\"\\n", "v": [{"p": 0.69999999999999996, "n": 3}, '
+            '[true, false]], "e": []}'
+        )
+        assert json.loads(text) == {**doc, "v": [{"p": 0.7, "n": 3}, [True, False]]}

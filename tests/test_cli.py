@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from uqec.cli import main
-from uqec.linalg import read_matrix
 from uqec.recovery import recovery_for
+
+from dense import read_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,6 +117,13 @@ class TestKlCheck:
         assert doc["nondegenerate"] is True
         assert doc["gram_deviation"] <= 1e-12
 
+    def test_json_key_order(self, capsys):
+        assert main(["kl-check", "--code", "all", "--format", "json"]) == 0
+        docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        keys = ["code", "gram_deviation", "classes", "nondegenerate"]
+        assert [list(doc) for doc in docs] == [keys] * 3
+        assert docs[2]["classes"][-1] == ["Z_7", "Z_8", "Z_9"]
+
     def test_shor9_reports_z_classes(self, capsys):
         assert main(["kl-check", "--code", "shor9"]) == 0
         out = capsys.readouterr().out
@@ -169,6 +177,17 @@ class TestTrajectory:
         assert doc["max_recovery_error"] <= 1e-10
         assert all(e["within"] for e in doc["entries"])
 
+    def test_json_key_order(self, capsys):
+        probs = ",".join(["0.5"] + ["0"] * 19 + ["0.5"] + ["0"] * 7)  # I and Z_2
+        argv = ["--samples", "1000", "--seed", "2", "--format", "json"]
+        assert main(["trajectory", "--code", "shor9", "--probs", probs, *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["code", "samples", "seed", "entries", "max_recovery_error", "passed"]
+        assert {tuple(e) for e in doc["entries"]} == {
+            ("label", "class", "p", "count", "frequency", "bound_3sigma", "within")
+        }
+        assert doc["entries"][20]["class"] == "{Z_1,Z_2,Z_3}"
+
     def test_shor9_degenerate_classification(self, capsys):
         probs = ["0"] * 28
         probs[20] = "1"  # Z_2
@@ -212,6 +231,20 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    # Options a command never read are not accepted: argparse exits 2.
+    @pytest.mark.parametrize("command,option", [
+        ("demo --probs 1,0,0,0 --alpha 1 --beta 0", "--seed 3"),
+        ("kl-check", "--tol 0"), ("kl-check", "--seed 3"),
+        ("dump", "--tol 1e-10"), ("dump", "--seed 3"), ("dump", "--format json"),
+    ])
+    def test_removed_option_exits_2(self, command, option, tmp_path, capsys):
+        argv = [*command.split(), "--code", "bitflip3", "--output", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + option.split())
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFormatChoices:

@@ -4,24 +4,26 @@ import pytest
 from uqec.linalg import (
     QubitSplit,
     basis_vector,
-    block_reversal,
-    controlled_not,
     format_matrix,
     frobenius_distance,
     gram_schmidt_extend,
     kron,
-    orthonormal_completion,
-    parse_matrix,
-    partial_trace,
-    permutation_matrix,
-    read_matrix,
-    transposition,
     write_matrix,
 )
 
 from uqec.codes import CODE_NAMES, get_code
 from uqec.recovery import recovery_for
 
+from dense import (
+    block_reversal,
+    controlled_not,
+    orthonormal_completion,
+    parse_matrix,
+    partial_trace,
+    permutation_matrix,
+    read_matrix,
+    transposition,
+)
 from oracles import gram_schmidt_extend_loop, kron_brute, partial_trace_brute
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -13,24 +13,28 @@ from uqec.codes import (
     shor9,
     standard_error_set,
 )
-from uqec.linalg import basis_vector, block_reversal, permutation_matrix, transposition
 from uqec.recovery import (
     CLASS_MERGE_TOL,
-    DensityMatrix,
     ErrorChannel,
     KLViolationError,
-    apply_channel,
-    apply_recovery,
     build_recovery,
-    conventional_recovery_bitflip3,
     read_channel_file,
     recover_pure_state,
     recovery_for,
     recovery_row_order,
-    sample_trajectory,
     validate_kl,
 )
 
+from dense import (
+    DensityMatrix,
+    apply_channel,
+    apply_recovery,
+    block_reversal,
+    conjugate,
+    conventional_recovery_bitflip3,
+    permutation_matrix,
+    transposition,
+)
 from oracles import bitflip_channel_brute, bitflip_density_pattern, group_pairs_brute
 
 
@@ -389,7 +393,7 @@ class TestConventionalRecovery:
     def test_recovers_deterministic_single_flip(self):
         rho = encoded_density(bitflip3(), 0.6, 0.8)
         x2 = error_operator("X", 2, 3)
-        rho_err = DensityMatrix(x2.conjugate(rho.matrix))
+        rho_err = DensityMatrix(conjugate(x2, rho.matrix))
         out = conventional_recovery_bitflip3(rho_err)
         assert np.max(np.abs(out.matrix - rho.matrix)) <= 1e-12
 
@@ -405,42 +409,6 @@ class TestConventionalRecovery:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="8-dimensional"):
             conventional_recovery_bitflip3(DensityMatrix.from_state(np.array([1.0, 0.0])))
-
-
-class TestSampleTrajectory:
-    def test_identity_channel_deterministic(self):
-        state = basis_vector(8, 0)
-        idx, out = sample_trajectory(bitflip_channel([1.0, 0, 0, 0]), state, seed=123)
-        assert idx == 0
-        assert np.array_equal(out, state)
-
-    def test_certain_flip(self):
-        idx, out = sample_trajectory(bitflip_channel([0.0, 1.0, 0, 0]), basis_vector(8, 0), seed=9)
-        assert idx == 1
-        assert np.array_equal(out, basis_vector(8, 4))  # |000> -> |100>
-
-    def test_same_seed_same_draw(self):
-        ch = bitflip_channel([0.25, 0.25, 0.25, 0.25])
-        state = encode_state(bitflip3(), PureQubitState(0.6, 0.8))
-        assert sample_trajectory(ch, state, seed=7)[0] == sample_trajectory(ch, state, seed=7)[0]
-
-    def test_empirical_frequencies(self):
-        # statistics over per-seed draws; the batched path is exercised by
-        # the trajectory report tests
-        probs = np.array([0.5, 0.3, 0.15, 0.05])
-        ch = bitflip_channel(probs)
-        state = basis_vector(8, 0)
-        n = 20_000
-        counts = np.zeros(4)
-        for seed in range(n):
-            counts[sample_trajectory(ch, state, seed)[0]] += 1
-        freqs = counts / n
-        bounds = 3.0 * np.sqrt(probs * (1 - probs) / n)
-        assert np.all(np.abs(freqs - probs) <= bounds)
-
-    def test_rejects_unnormalized_state(self):
-        with pytest.raises(ValueError, match="normalized"):
-            sample_trajectory(bitflip_channel([1.0, 0, 0, 0]), np.ones(8), seed=1)
 
 
 class TestChannelFile:
