@@ -2,7 +2,7 @@
 matrix dumps, and Monte Carlo trajectory cross-checks.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-configuration error.
+configuration error, reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import io
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -36,8 +37,16 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse error is one `error:` line and exit 2, like a CliError.
+    Subparsers are made with the parser's own class, so they inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uqec",
         description="Measurement-free quantum error correction on density matrices",
     )
@@ -141,26 +150,30 @@ def _report_table_line(r: analysis.RecoveryReport) -> str:
     )
 
 
-def _report_csv(reports) -> str:
+def _csv_line(fields: list) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["code", "alpha", "beta", "fidelity", "residual", "passed", "tolerance",
-         "channel", "syndrome"]
-    )
-    for r in reports:
-        writer.writerow([
-            r.code,
-            format(r.alpha, ".17g"),
-            format(r.beta, ".17g"),
-            format(r.fidelity, ".17g"),
-            format(r.residual, ".17g"),
-            r.passed,
-            format(r.tolerance, ".17g"),
-            ";".join(f"{lb}:{format(p, '.17g')}" for lb, p in r.channel),
-            ";".join(f"{lb}:{format(p, '.17g')}" for lb, p in r.syndrome),
-        ])
+    csv.writer(buf).writerow(fields)
     return buf.getvalue()
+
+
+_CSV_HEADER = _csv_line(
+    ["code", "alpha", "beta", "fidelity", "residual", "passed", "tolerance",
+     "channel", "syndrome"]
+)
+
+
+def _report_csv_line(r: analysis.RecoveryReport) -> str:
+    return _csv_line([
+        r.code,
+        format(r.alpha, ".17g"),
+        format(r.beta, ".17g"),
+        format(r.fidelity, ".17g"),
+        format(r.residual, ".17g"),
+        r.passed,
+        format(r.tolerance, ".17g"),
+        ";".join(f"{lb}:{format(p, '.17g')}" for lb, p in r.channel),
+        ";".join(f"{lb}:{format(p, '.17g')}" for lb, p in r.syndrome),
+    ])
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -177,22 +190,25 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     codes = _resolve_codes(args.code)
+    line = {
+        "json": analysis.report_to_json,
+        "csv": _report_csv_line,
+        "table": _report_table_line,
+    }[args.format]
     lines: list[str] = []
-    all_reports = []
     failures = 0
     for name in codes:
-        reports = analysis.verify_code(name, tol=args.tol, seed=args.seed)
-        all_reports.extend(reports)
-        failed = sum(not r.passed for r in reports)
+        cases = failed = 0
+        # Only the formatted line of a report is kept, never the report.
+        for r in analysis.verify_code(name, tol=args.tol, seed=args.seed):
+            lines.append(line(r))
+            cases += 1
+            failed += not r.passed
         failures += failed
-        if args.format == "json":
-            lines.extend(analysis.report_to_json(r) for r in reports)
-        elif args.format == "table":
-            lines.extend(_report_table_line(r) for r in reports)
         if args.format == "table":
-            lines.append(f"{name}: {len(reports) - failed}/{len(reports)} cases passed")
+            lines.append(f"{name}: {cases - failed}/{cases} cases passed")
     if args.format == "csv":
-        _emit(_report_csv(all_reports), args.output)
+        _emit(_CSV_HEADER + "".join(lines), args.output)
     else:
         _emit("\n".join(lines), args.output)
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -208,15 +224,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(analysis.report_to_json(report), args.output)
     elif args.format == "csv":
-        _emit(_report_csv([report]), args.output)
+        _emit(_CSV_HEADER + _report_csv_line(report), args.output)
     else:
-        fact = report.factorization
         text = "\n".join([
             f"code:      {report.code}",
             f"input:     alpha={report.alpha:.6g} beta={report.beta:.6g}",
             f"channel:   {_pairs(report.channel)}",
             f"fidelity:  {report.fidelity:.12f}",
-            f"residual:  {report.residual:.3e} (product form: {fact.is_product})",
+            f"residual:  {report.residual:.3e} (product form: {report.residual <= report.tolerance})",
             f"syndrome:  {_pairs(report.syndrome)}",
             f"verdict:   {'PASS' if report.passed else 'FAIL'} at tolerance {report.tolerance:g}",
         ])
@@ -338,7 +353,8 @@ _COMMANDS = {
 
 def _check_numbers(args: argparse.Namespace) -> None:
     # A command without the option passes its check.
-    if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:  # NaN fails this too
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0.0):
         raise CliError(f"--tol must be finite and >= 0, got {args.tol!r}")
     if not getattr(args, "samples", 1) >= 1:
         raise CliError(f"--samples must be >= 1, got {args.samples!r}")

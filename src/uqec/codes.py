@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import basis_vector, gram_schmidt_extend, kron
+from .linalg import basis_vector, gram_schmidt_extend
 
 # Signed-permutation form of each single-qubit operator: column j carries a
 # single entry signs[j] in row perm[j].
@@ -165,8 +165,8 @@ def shor9() -> Code:
     ghz_minus = np.zeros(8)
     ghz_minus[0] = 1.0 / np.sqrt(2.0)
     ghz_minus[7] = -1.0 / np.sqrt(2.0)
-    l0 = kron(ghz_plus, ghz_plus, ghz_plus)
-    l1 = kron(ghz_minus, ghz_minus, ghz_minus)
+    l0 = np.kron(np.kron(ghz_plus, ghz_plus), ghz_plus)
+    l1 = np.kron(np.kron(ghz_minus, ghz_minus), ghz_minus)
     return Code(name="shor9", n=9, logical0=_freeze(l0), logical1=_freeze(l1))
 
 

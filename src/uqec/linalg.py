@@ -1,5 +1,5 @@
-"""Dense real-matrix kernel: Kronecker products, the qubit bipartition,
-orthonormal basis completion, and the plain-text matrix format.
+"""Dense real-matrix kernel: orthonormal basis completion by Gram-Schmidt and
+the plain-text matrix format.
 
 Everything downstream works with real float64 ndarrays. All operators in this
 package are real (the Y convention is the real matrix [[0,-1],[1,0]]), so the
@@ -8,7 +8,6 @@ transpose plays the role of the conjugate transpose throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -26,40 +25,6 @@ def basis_vector(d: int, i: int) -> np.ndarray:
     v = np.zeros(d)
     v[i] = 1.0
     return v
-
-
-def kron(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right."""
-    out = np.asarray(ops[0], dtype=float)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=float))
-    return out
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of a - b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-@dataclass(frozen=True)
-class QubitSplit:
-    """Bipartition of a 2^n-dimensional system into a kept-first factor and
-    the remainder, e.g. QubitSplit(2, 4) splits 3 qubits as qubit 1 vs 2,3."""
-
-    dim_first: int
-    dim_rest: int
-
-    def __post_init__(self) -> None:
-        if self.dim_first < 1 or self.dim_rest < 1:
-            raise ValueError("split dimensions must be >= 1")
-
-    @property
-    def total(self) -> int:
-        return self.dim_first * self.dim_rest
 
 
 def gram_schmidt_extend(

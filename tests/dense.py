@@ -11,12 +11,44 @@ from typing import Sequence
 import numpy as np
 
 from uqec import recovery
-from uqec.analysis import DEFAULT_TOL, FactorizationResult
+from uqec.analysis import FactorizationResult
 from uqec.codes import ErrorOperator, get_code, standard_error_set
-from uqec.linalg import (
-    ORTHONORMAL_TOL, QubitSplit, basis_vector, frobenius_distance, gram_schmidt_extend,
-)
+from uqec.linalg import ORTHONORMAL_TOL, basis_vector, gram_schmidt_extend
 from uqec.recovery import ErrorChannel, RecoveryMatrix, recovery_for
+
+
+def kron(*ops: np.ndarray) -> np.ndarray:
+    """Kronecker product of one or more matrices, left to right."""
+    out = np.asarray(ops[0], dtype=float)
+    for op in ops[1:]:
+        out = np.kron(out, np.asarray(op, dtype=float))
+    return out
+
+
+def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of a - b."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.linalg.norm(a - b))
+
+
+@dataclass(frozen=True)
+class QubitSplit:
+    """Bipartition of a 2^n-dimensional system into a kept-first factor and
+    the remainder, e.g. QubitSplit(2, 4) splits 3 qubits as qubit 1 vs 2,3."""
+
+    dim_first: int
+    dim_rest: int
+
+    def __post_init__(self) -> None:
+        if self.dim_first < 1 or self.dim_rest < 1:
+            raise ValueError("split dimensions must be >= 1")
+
+    @property
+    def total(self) -> int:
+        return self.dim_first * self.dim_rest
 
 
 class DensityMatrix(recovery.DensityMatrix):
@@ -118,9 +150,7 @@ def partial_trace(rho: np.ndarray, split: QubitSplit, keep: str = "first") -> np
     raise ValueError(f"keep must be 'first' or 'rest', got {keep!r}")
 
 
-def check_product_form_dense(
-    rho_out: DensityMatrix, split: QubitSplit, tol: float = DEFAULT_TOL
-) -> FactorizationResult:
+def check_product_form_dense(rho_out: DensityMatrix, split: QubitSplit) -> FactorizationResult:
     """analysis.check_product_form on the full matrix: both partial traces are
     taken and validated, and the residual is ||rho_out - q (x) a||_F."""
     if rho_out.dim != split.total:
@@ -128,12 +158,7 @@ def check_product_form_dense(
     qubit = DensityMatrix(partial_trace(rho_out.matrix, split, keep="first"))
     ancilla = DensityMatrix(partial_trace(rho_out.matrix, split, keep="rest"))
     residual = frobenius_distance(rho_out.matrix, np.kron(qubit.matrix, ancilla.matrix))
-    return FactorizationResult(
-        reduced_qubit=qubit,
-        reduced_ancilla=ancilla,
-        residual=residual,
-        is_product=residual <= tol,
-    )
+    return FactorizationResult(reduced_qubit=qubit, reduced_ancilla=ancilla, residual=residual)
 
 
 def conventional_recovery_bitflip3(rho_err: DensityMatrix) -> DensityMatrix:

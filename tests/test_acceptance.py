@@ -18,11 +18,11 @@ from uqec.codes import (
     get_code,
     standard_error_set,
 )
-from uqec.linalg import QubitSplit
 from uqec.recovery import ErrorChannel, recovery_for, validate_kl
 
 from dense import (
     DensityMatrix,
+    QubitSplit,
     apply_channel,
     block_reversal,
     controlled_not,

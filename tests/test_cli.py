@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,19 @@ class TestVerify:
         assert len(lines) == 225
         doc = json.loads(lines[0])
         assert doc["passed"] is True
+
+    def test_shor9_grid_keeps_no_report(self, capsys):
+        # A shor9 report holds its ancilla state, about 0.6 MB; verify keeps
+        # only each report's line, so the grid never holds its 195 reports.
+        recovery_for("shor9")  # the cached R is built outside the trace
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--code", "shor9"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "shor9: 195/195 cases passed" in capsys.readouterr().out
+        assert peak < 16 * 2**20
 
 
 class TestDemo:
@@ -245,6 +259,30 @@ class TestMalformedInput:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize("argv", [
+        ["nosuch"],
+        ["kl-check", "--code", "bitflip3", "--tol", "0"],
+        ["kl-check", "--code", "bitflip3", "--format", "csv"],
+        ["verify", "--code", "bitflip3", "--tol", "abc"],
+        ["demo", "--probs", "1,0,0,0", "--alpha", "1", "--beta", "0"],
+    ])
+    def test_one_line_error_and_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "usage:" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: uqec verify")
 
 
 class TestFormatChoices:

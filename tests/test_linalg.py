@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 
-from uqec.linalg import (
-    QubitSplit,
-    basis_vector,
-    format_matrix,
-    frobenius_distance,
-    gram_schmidt_extend,
-    kron,
-    write_matrix,
-)
+from uqec.linalg import basis_vector, format_matrix, gram_schmidt_extend, write_matrix
 
 from uqec.codes import CODE_NAMES, get_code
 from uqec.recovery import recovery_for
 
 from dense import (
+    QubitSplit,
     block_reversal,
     controlled_not,
+    frobenius_distance,
+    kron,
     orthonormal_completion,
     parse_matrix,
     partial_trace,
