@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Above 2**53 float64 cannot hold the sample count, and the trajectory
+# frequencies and bounds are float64.
+MAX_SAMPLES = 2**53
+
 
 class CliError(Exception):
     pass
@@ -356,8 +360,11 @@ def _check_numbers(args: argparse.Namespace) -> None:
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise CliError(f"--tol must be finite and >= 0, got {args.tol!r}")
-    if not getattr(args, "samples", 1) >= 1:
-        raise CliError(f"--samples must be >= 1, got {args.samples!r}")
+    samples = getattr(args, "samples", 1)
+    if not samples >= 1:
+        raise CliError(f"--samples must be >= 1, got {samples!r}")
+    if samples > MAX_SAMPLES:
+        raise CliError(f"--samples must be <= {MAX_SAMPLES}, got {samples!r}")
     if getattr(args, "seed", 0) < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed!r}")
 

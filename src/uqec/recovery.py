@@ -127,7 +127,9 @@ def normalized_probabilities(probs: Sequence[float]) -> list[float]:
     divided out; any other input is returned as typed, so that 0.7 stays 0.7
     rather than becoming its rescaled neighbour."""
     probs = [float(p) for p in probs]
-    total = float(np.sum(probs))
+    # A sum of huge entries overflows to inf, which the check below rejects.
+    with np.errstate(over="ignore"):
+        total = float(np.sum(probs))
     # Written so that a NaN or inf sum fails it.
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")

@@ -133,3 +133,10 @@ def group_pairs_brute(shift0, shift1, tol):
         else:
             groups.append([i])
     return groups
+
+
+def choice_counts(probs, samples, seed):
+    """Draws per term of numpy's own weighted draw, one index per sample."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.choice(len(probs), size=samples, p=probs)
+    return np.bincount(drawn, minlength=len(probs))

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uqec.analysis import (
     DEFAULT_TOL,
+    _term_counts,
     INPUT_STATES,
     TRAJECTORY_ALPHA,
     check_product_form,
@@ -37,6 +39,7 @@ from dense import (
     recovered_terms,
     verify_permutation_factorization_3qubit,
 )
+from oracles import choice_counts
 
 
 def channel_for(name, probs):
@@ -283,6 +286,69 @@ class TestTrajectoryStatistics:
         assert entry.class_label == "{Z_1,Z_2,Z_3}"
         assert entry.count == 200
         assert report.passed
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_is_an_error(self, samples):
+        # With no draws every frequency would be 0/0.
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            trajectory_statistics(
+                "bitflip3", channel_for("bitflip3", [1.0, 0, 0, 0]),
+                PureQubitState(0.6, 0.8), samples=samples,
+            )
+
+
+def _one_hot(k, i):
+    p = np.zeros(k)
+    p[i] = 1.0
+    return p
+
+
+class TestTermCounts:
+    """_term_counts gives the counts of numpy's rng.choice draw, bit for bit,
+    on either side of each chunk boundary."""
+
+    SAMPLES = (1, 32767, 32768, 32769, 100_003)
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_shor9_dirichlet_channels(self, samples, seed):
+        rng = np.random.default_rng(1000 + seed)
+        for i in range(3):
+            probs = rng.dirichlet(np.ones(28))
+            counts = _term_counts(probs, samples, np.random.default_rng(seed + i))
+            assert np.array_equal(counts, choice_counts(probs, samples, seed + i))
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("probs", [
+        [0.0, 0.0, 0.5, 0.3, 0.2],
+        [0.4, 0.0, 0.0, 0.6, 0.0, 0.0],
+        [0.25, 0.25, 0.5, 0.0, 0.0],
+        [0.0, 0.7, 0.0, 0.3, 0.0],
+        *(_one_hot(4, i) for i in range(4)),
+        [1.0],
+    ])
+    def test_zero_and_certain_terms(self, probs, samples):
+        probs = np.array(probs)
+        counts = _term_counts(probs, samples, np.random.default_rng(3))
+        assert np.array_equal(counts, choice_counts(probs, samples, 3))
+        assert counts.sum() == samples
+
+    def test_shor9_4m_samples_in_flat_memory(self):
+        # 4M uniforms and 4M indices held at once take 61 MB; the count
+        # holds one chunk of 2**15 uniforms at a time.
+        probs = np.random.default_rng(5).dirichlet(np.ones(28))
+        channel = channel_for("shor9", probs)
+        recovery_for("shor9")  # the cached R is built outside the trace
+        tracemalloc.start()
+        try:
+            report = trajectory_statistics(
+                "shor9", channel, PureQubitState(0.6, 0.8), samples=4_000_000, seed=11,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(e.count for e in report.entries) == 4_000_000
+        assert peak < 4 * 2**20
 
 
 class TestFactorPathMatchesDenseOracle:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,9 @@ class TestMalformedInput:
         ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--samples", "-1"],
         ["verify", "--code", "bitflip3", "--seed", "-1"],
         ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--seed", "-3"],
+        ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--samples", "99999999999999999999"],
+        ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--samples", "9223372036854775807"],
+        ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--samples", str(2**53 + 1)],
     ])
     def test_exits_2_with_one_line_error(self, argv, tmp_path, capsys):
         argv = [a.format(missing=tmp_path / "missing") for a in argv]
@@ -245,6 +249,17 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["--probs", "--channel-file"])
+    def test_overflowing_probabilities_warn_nothing(self, source, tmp_path, capsys):
+        # A numpy RuntimeWarning would print two lines before the error.
+        spec = tmp_path / "channel.txt"
+        spec.write_text("I 1e308\nX_1 1e308\n")
+        arg = "1e308,1e308,0,0" if source == "--probs" else str(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["trajectory", "--code", "bitflip3", source, arg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     # Options a command never read are not accepted: argparse exits 2.
     @pytest.mark.parametrize("command,option", [
