@@ -219,12 +219,8 @@ def encoding_unitary(code: Code) -> np.ndarray:
     d = code.dim
     half = d // 2
     pinned = np.vstack([code.logical0, code.logical1])
-    lower = gram_schmidt_extend(pinned, (basis_vector(d, i) for i in range(d)), half - 1)
-    upper = gram_schmidt_extend(
-        np.vstack([pinned, lower]),
-        (basis_vector(d, i) for i in range(d - 1, -1, -1)),
-        half - 1,
-    )
+    lower = gram_schmidt_extend(pinned, range(d), half - 1)
+    upper = gram_schmidt_extend(np.vstack([pinned, lower]), range(d - 1, -1, -1), half - 1)
     cols = np.empty((d, d))
     cols[0] = code.logical0
     cols[1:half] = lower

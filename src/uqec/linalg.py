@@ -29,26 +29,34 @@ def basis_vector(d: int, i: int) -> np.ndarray:
 
 def gram_schmidt_extend(
     accepted: np.ndarray,
-    candidates: Iterable[np.ndarray],
+    order: Iterable[int],
     count: int,
 ) -> np.ndarray:
-    """Produce `count` new orthonormal rows from `candidates`, each
-    orthogonalized against `accepted` and the rows produced so far.
+    """Produce `count` new orthonormal rows from the standard basis vectors
+    e_i, i taken from `order`, each orthogonalized against `accepted` and the
+    rows produced so far. The rows of `accepted` must be orthonormal.
 
     Candidates whose residual norm after projection drops below GS_SKIP_TOL are
     dependent and skipped. Kept rows are normalized with a positive leading
     nonzero entry, which makes the completion deterministic.
 
-    A candidate that is exactly a standard basis vector e_i (one entry 1.0,
-    every other entry +0.0) whose index lies outside the support of
-    `accepted` and of every row kept so far is kept as it is. The
-    projections would have done nothing to it: each inner product with e_i
-    is a sum of signed zeros (the rows are finite: `accepted` is checked,
-    and the loop never keeps a non-finite row), and subtracting a signed
-    zero leaves +0.0 and 1.0 unchanged, so the norm is exactly 1 and the
-    lead is positive. The rows are therefore the same, bit for bit, as those
-    of the plain loop, which every other candidate still runs against the
-    same rows in the same order.
+    The support is the set of indices where `accepted` or a row kept so far
+    is nonzero. Two kinds of candidate skip the projections, and the rows
+    are the same, bit for bit, as those of the plain loop, which every other
+    candidate still runs against the same rows in the same order:
+
+    - e_i with i outside the support is kept as it is. Each inner product
+      with e_i is a sum of signed zeros (the rows are finite: `accepted` is
+      checked, and the loop never keeps a non-finite row), and subtracting a
+      signed zero leaves +0.0 and 1.0 unchanged, so the norm is exactly 1
+      and the lead is positive.
+    - e_i with i inside the support is dropped once there are as many rows
+      as support indices. Orthonormal rows that many span every e_j on the
+      support, so the residual after the two passes is of order eps**2,
+      far below GS_SKIP_TOL, and the loop would drop it too.
+
+    A projected e_i never widens the support: i is in it, and outside it
+    the rows subtracted are zero, which leaves +0.0 there.
     """
     accepted = np.asarray(accepted, dtype=float)
     if not np.isfinite(accepted).all():
@@ -57,24 +65,22 @@ def gram_schmidt_extend(
     buf = np.empty((k + count, d))
     buf[:k] = accepted
     support = np.any(accepted != 0, axis=0)
+    n_support = int(np.count_nonzero(support))
     have = k
-    for cand in candidates:
+    for i in order:
         if have == k + count:
             break
-        v = np.asarray(cand, dtype=float)
-        nz = np.flatnonzero(v)
-        if (
-            v.shape == (d,)
-            and nz.size == 1
-            and v[nz[0]] == 1.0
-            and not support[nz[0]]
-            and not np.signbit(v).any()
-        ):
-            buf[have] = v
-            support[nz[0]] = True
+        if not support[i]:
+            buf[have] = 0.0
+            buf[have, i] = 1.0
+            support[i] = True
+            n_support += 1
             have += 1
             continue
+        if have == n_support:
+            continue
         rows = buf[:have]
+        v = basis_vector(d, i)
         v = v - rows.T @ (rows @ v)
         v = v - rows.T @ (rows @ v)  # second pass keeps orthogonality tight
         nrm = np.linalg.norm(v)
@@ -85,13 +91,36 @@ def gram_schmidt_extend(
         if lead < 0:
             v = -v
         buf[have] = v
-        support |= v != 0
         have += 1
     if have < k + count:
         raise ValueError(
             f"candidates exhausted: needed {count} completion rows, found {have - k}"
         )
     return buf[k:]
+
+
+def orthogonality_deviation(m: np.ndarray) -> float:
+    """max |m m^T - I|, computed on the structure of m.
+
+    A unit row e_i (one nonzero entry, equal to 1.0) has norm exactly 1 and
+    inner product exactly m[r, i] with every other row r, and two unit rows
+    have inner product 1 when they share i and 0 otherwise. So only the
+    rows that are not unit rows need a Gram product; the rest of the
+    deviation is read off m. A NaN entry makes the result NaN.
+    """
+    m = np.asarray(m, dtype=float)
+    unit = (np.count_nonzero(m, axis=1) == 1) & (m.max(axis=1) == 1.0)
+    cols = m.argmax(axis=1)[unit]
+    rest = m[~unit]
+    gram = np.abs(rest @ rest.T - np.eye(rest.shape[0]))
+    # Two unit rows share a column iff the unit rows hit fewer columns than
+    # there are unit rows. A scatter, not np.unique or np.sort, whose first
+    # calls in a process cost more time or memory than this whole check.
+    hit = np.zeros(m.shape[1], dtype=bool)
+    hit[cols] = True
+    shared = 1.0 if np.count_nonzero(hit) < cols.size else 0.0
+    # np.max, unlike the builtin, lets a NaN through whatever its position.
+    return float(np.max([gram.max(initial=0.0), np.abs(rest[:, cols]).max(initial=0.0), shared]))
 
 
 def format_matrix(m: np.ndarray) -> str:

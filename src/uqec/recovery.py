@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import Code, ErrorOperator, get_code, standard_error_set
-from .linalg import ORTHONORMAL_TOL, basis_vector, gram_schmidt_extend
+from .linalg import ORTHONORMAL_TOL, gram_schmidt_extend, orthogonality_deviation
 
 # Operators whose shifted codewords differ by less than this act identically
 # on the code space and share an error class.
@@ -275,14 +275,18 @@ class RecoveryMatrix:
     row_labels: tuple[RowLabel, ...]
     classes: tuple[tuple[str, ...], ...]
     class_map: dict[str, int]
+    # max |R R^T - I|, set on construction.
+    orthogonality_deviation: float = field(init=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
-        dev = float(np.max(np.abs(m @ m.T - np.eye(m.shape[0]))))
-        if dev > ORTHONORMAL_TOL:
+        dev = orthogonality_deviation(m)
+        # Written so that a NaN deviation fails it.
+        if not dev <= ORTHONORMAL_TOL:
             raise ValueError(f"recovery matrix is not orthogonal (deviation {dev:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "orthogonality_deviation", dev)
 
     @property
     def dim(self) -> int:
@@ -343,9 +347,7 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
         labels[half + c] = RowLabel(1, cls_label)
     if k < half:
         pinned = np.vstack([rows[:k], rows[half : half + k]])
-        completion = gram_schmidt_extend(
-            pinned, (basis_vector(d, i) for i in range(d)), d - 2 * k
-        )
+        completion = gram_schmidt_extend(pinned, range(d), d - 2 * k)
         free = list(range(k, half)) + list(range(half + k, d))
         rows[free] = completion
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from uqec import recovery
 from uqec.analysis import FactorizationResult
-from uqec.codes import ErrorOperator, get_code, standard_error_set
-from uqec.linalg import ORTHONORMAL_TOL, basis_vector, gram_schmidt_extend
+from uqec.codes import Code, ErrorOperator, get_code, standard_error_set
+from uqec.linalg import ORTHONORMAL_TOL, gram_schmidt_extend
 from uqec.recovery import ErrorChannel, RecoveryMatrix, recovery_for
 
 
@@ -121,15 +121,24 @@ def apply_recovery(rec: RecoveryMatrix, rho_err: DensityMatrix) -> DensityMatrix
 
 
 def recovered_terms(
-    rec: RecoveryMatrix, ops: Sequence[ErrorOperator], state: np.ndarray
+    rec: RecoveryMatrix, ops: Sequence[ErrorOperator], code: Code
 ) -> np.ndarray:
-    """R W_i psi psi^T W_i^T R^T for each operator, stacked on axis 0, each by
-    scatter conjugation and two full matrix products. The channel and R rho R^T
-    are linear in the probabilities, so np.tensordot(probs, terms, axes=1) is
-    the dense recovered state of the channel with those probabilities."""
-    rho = np.outer(state, state)
+    """R W_i M_j W_i^T R^T for each operator i and each symmetric logical
+    matrix M_0 = |0><0|, M_1 = |1><1|, M_2 = |0><1| + |1><0| (|m> = |m>_L),
+    stacked with shape (len(ops), 3, d, d), each by scatter conjugation and
+    two full matrix products.
+
+    The channel and R rho R^T are linear in the probabilities and in rho,
+    and psi psi^T = alpha^2 M_0 + beta^2 M_1 + alpha beta M_2 for
+    psi = alpha|0>_L + beta|1>_L. So the dense recovered state of a channel
+    with probabilities p is
+    np.tensordot([alpha**2, beta**2, alpha * beta], np.tensordot(p, terms, axes=1), axes=1).
+    """
+    zero, one = code.logical0, code.logical1
+    cross = np.outer(zero, one)
+    logical = (np.outer(zero, zero), np.outer(one, one), cross + cross.T)
     r = rec.matrix
-    return np.stack([r @ conjugate(op, rho) @ r.T for op in ops])
+    return np.stack([np.stack([r @ conjugate(op, m) @ r.T for m in logical]) for op in ops])
 
 
 def partial_trace(rho: np.ndarray, split: QubitSplit, keep: str = "first") -> np.ndarray:
@@ -272,7 +281,7 @@ def orthonormal_completion(rows: Sequence[np.ndarray], d: int) -> np.ndarray:
         )
     if k == d:
         return rows.copy()
-    completion = gram_schmidt_extend(rows, (basis_vector(d, i) for i in range(d)), d - k)
+    completion = gram_schmidt_extend(rows, range(d), d - k)
     return np.vstack([rows, completion])
 
 

@@ -356,9 +356,10 @@ class TestFactorPathMatchesDenseOracle:
     R rho R^T path must agree with it to 1e-14 (float64 rounding over sums of
     at most 28 terms) over the whole verify grid, with identical verdicts.
 
-    The dense state of a case is the p-weighted sum of the dense recovered
-    terms R W_i rho W_i^T R^T, each formed once per input state
-    (dense.recovered_terms): both the channel and R rho R^T are linear in p."""
+    The dense state of a case combines the dense recovered terms
+    R W_i M W_i^T R^T of the three symmetric logical matrices M, each formed
+    once per code (dense.recovered_terms): the channel and R rho R^T are
+    linear in p and in rho."""
 
     @pytest.mark.parametrize("name", CODE_NAMES)
     def test_verify_grid(self, name):
@@ -367,13 +368,15 @@ class TestFactorPathMatchesDenseOracle:
         rec = recovery_for(name)
         split = QubitSplit(2, code.dim // 2)
         grid = verification_probability_vectors(len(ops), seed=42)
+        terms = recovered_terms(rec, ops, code)
         worst = 0.0
-        for psi in INPUT_STATES:
-            encoded = encode_state(code, psi)
-            terms = recovered_terms(rec, ops, encoded)
-            for probs in grid:
-                channel = ErrorChannel.from_probs(ops, probs)
-                dense = np.tensordot(probs, terms, axes=1)
+        for probs in grid:
+            channel = ErrorChannel.from_probs(ops, probs)
+            logical = np.tensordot(probs, terms, axes=1)
+            for psi in INPUT_STATES:
+                encoded = encode_state(code, psi)
+                a, b = psi.alpha, psi.beta
+                dense = np.tensordot([a * a, b * b, a * b], logical, axes=1)
                 report = run_experiment(code, channel, psi)
                 fact = report.factorization
                 qubit = partial_trace(dense, split, keep="first")
@@ -384,6 +387,10 @@ class TestFactorPathMatchesDenseOracle:
                     float(np.max(np.abs(fact.reduced_qubit.matrix - qubit))),
                     float(np.max(np.abs(fact.reduced_ancilla.matrix - ancilla))),
                 )
+                sigma = fact.reduced_ancilla.matrix
+                max_off = float(np.max(np.abs(sigma - np.diag(np.diag(sigma)))))
+                # Maxima of absolute values carry no sign, so == compares every bit.
+                assert report.max_offdiagonal == max_off
                 tol = report.tolerance
                 dense_passed = (
                     psi.vector @ qubit @ psi.vector >= 1.0 - tol

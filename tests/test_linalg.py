@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from uqec.linalg import basis_vector, format_matrix, gram_schmidt_extend, write_matrix
+from uqec.linalg import (
+    basis_vector,
+    format_matrix,
+    gram_schmidt_extend,
+    orthogonality_deviation,
+    write_matrix,
+)
 
 from uqec.codes import CODE_NAMES, get_code
 from uqec.recovery import recovery_for
@@ -173,7 +179,7 @@ class TestOrthonormalCompletion:
 
     def test_extend_raises_when_candidates_run_out(self):
         with pytest.raises(ValueError, match="exhausted"):
-            gram_schmidt_extend(np.eye(2), [basis_vector(2, 0)], 1)
+            gram_schmidt_extend(np.eye(2), [0], 1)
 
 
 def assert_same_bits(a, b):
@@ -194,31 +200,50 @@ def supported_rows(rng, d, support, n_rows):
 
 
 class TestGramSchmidtSkipsOnlyExactWork:
-    """gram_schmidt_extend keeps an outside-support e_i without projecting
-    it; its rows must equal, bit for bit, those of the loop that projects
-    every candidate (oracles.gram_schmidt_extend_loop)."""
+    """gram_schmidt_extend keeps an outside-support e_i and drops a spanned
+    in-support e_i without projecting either; its rows must equal, bit for
+    bit, those of the loop that projects every candidate
+    (oracles.gram_schmidt_extend_loop)."""
 
     def test_shor9_recovery_completion(self):
         rec = recovery_for("shor9")
         k, half = rec.n_classes, rec.dim // 2
         pinned = np.vstack([rec.matrix[:k], rec.matrix[half : half + k]])
-        cands = basis(rec.dim, range(rec.dim))
         count = rec.dim - 2 * k
         assert_same_bits(
-            gram_schmidt_extend(pinned, cands, count),
-            gram_schmidt_extend_loop(pinned, cands, count),
+            gram_schmidt_extend(pinned, range(rec.dim), count),
+            gram_schmidt_extend_loop(pinned, basis(rec.dim, range(rec.dim)), count),
         )
+
+    def test_shor9_recovery_completion_projection_count(self, monkeypatch):
+        # One norm per projected candidate. The 44 pinned rows touch 80
+        # indices; 36 projected candidates are kept and 14 dropped before the
+        # rows fill that support, and the 21 support indices reached after
+        # that are skipped. The plain loop projects all 71.
+        rec = recovery_for("shor9")
+        k, half = rec.n_classes, rec.dim // 2
+        pinned = np.vstack([rec.matrix[:k], rec.matrix[half : half + k]])
+        calls = []
+        norm = np.linalg.norm
+
+        def counting_norm(*args, **kwargs):
+            calls.append(1)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        gram_schmidt_extend(pinned, range(rec.dim), rec.dim - 2 * k)
+        assert len(calls) == 50
 
     @pytest.mark.parametrize("name", CODE_NAMES)
     def test_both_encoder_completions(self, name):
         code = get_code(name)
         d, half = code.dim, code.dim // 2
         pinned = np.vstack([code.logical0, code.logical1])
-        up, down = basis(d, range(d)), basis(d, range(d - 1, -1, -1))
-        lower = gram_schmidt_extend_loop(pinned, up, half - 1)
+        up, down = range(d), range(d - 1, -1, -1)
+        lower = gram_schmidt_extend_loop(pinned, basis(d, up), half - 1)
         assert_same_bits(gram_schmidt_extend(pinned, up, half - 1), lower)
         both = np.vstack([pinned, lower])
-        upper = gram_schmidt_extend_loop(both, down, half - 1)
+        upper = gram_schmidt_extend_loop(both, basis(d, down), half - 1)
         assert_same_bits(gram_schmidt_extend(both, down, half - 1), upper)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -227,25 +252,61 @@ class TestGramSchmidtSkipsOnlyExactWork:
         d = 64
         support = rng.choice(d, size=int(rng.integers(1, d)), replace=False)
         rows = supported_rows(rng, d, support, int(rng.integers(0, len(support) + 1)))
-        cands = basis(d, rng.permutation(d))
-        outside = np.setdiff1d(np.arange(d), support)
-        signed_zero = basis_vector(d, int(rng.integers(d)))
-        signed_zero[signed_zero == 0] = -0.0
-        extras = [rng.normal(size=d), signed_zero, 2.0 * basis_vector(d, int(support[0]))]
-        if outside.size:
-            extras.append(2.0 * basis_vector(d, int(rng.choice(outside))))
-        for v in extras:
-            cands.insert(int(rng.integers(len(cands) + 1)), v)
+        order = rng.permutation(d)
         count = d - rows.shape[0]
         assert_same_bits(
-            gram_schmidt_extend(rows, cands, count),
-            gram_schmidt_extend_loop(rows, cands, count),
+            gram_schmidt_extend(rows, order, count),
+            gram_schmidt_extend_loop(rows, basis(d, order), count),
         )
 
     def test_rejects_non_finite_accepted_rows(self):
         rows = np.array([[np.nan, 0.0, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            gram_schmidt_extend(rows, basis(3, range(3)), 2)
+            gram_schmidt_extend(rows, range(3), 2)
+
+
+def dense_deviation(m):
+    return float(np.max(np.abs(m @ m.T - np.eye(m.shape[0]))))
+
+
+class TestOrthogonalityDeviation:
+    """orthogonality_deviation reads the unit rows' part of max |m m^T - I|
+    off m; it must match the dense product."""
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_recovery_matrices(self, name):
+        rec = recovery_for(name)
+        assert rec.orthogonality_deviation == orthogonality_deviation(rec.matrix)
+        assert abs(rec.orthogonality_deviation - dense_deviation(rec.matrix)) <= 1e-15
+
+    def test_permutation_matrix_is_exact(self):
+        m = permutation_matrix(np.random.default_rng(3).permutation(16))
+        assert orthogonality_deviation(m) == dense_deviation(m) == 0.0
+
+    def test_random_orthogonal_has_no_unit_rows(self):
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(24, 24)))
+        assert abs(orthogonality_deviation(q) - dense_deviation(q)) <= 1e-15
+
+    def test_negative_unit_row(self):
+        m = np.eye(6)
+        m[2, 2] = -1.0
+        assert orthogonality_deviation(m) == dense_deviation(m) == 0.0
+
+    def test_unit_row_whose_column_another_row_touches(self):
+        m = np.eye(4)
+        m[1, :2] = [0.6, 0.8]
+        assert abs(orthogonality_deviation(m) - dense_deviation(m)) <= 1e-15
+        assert orthogonality_deviation(m) == 0.6
+
+    def test_two_equal_unit_rows_read_one(self):
+        m = np.eye(4)
+        m[3] = m[1]
+        assert orthogonality_deviation(m) == dense_deviation(m) == 1.0
+
+    def test_nan_entry_reads_nan(self):
+        m = np.eye(4)
+        m[2, 3] = np.nan
+        assert np.isnan(orthogonality_deviation(m))
 
 
 class TestFrobeniusDistance:

@@ -17,6 +17,8 @@ from uqec.recovery import (
     CLASS_MERGE_TOL,
     ErrorChannel,
     KLViolationError,
+    RecoveryMatrix,
+    RowLabel,
     build_recovery,
     read_channel_file,
     recover_pure_state,
@@ -264,6 +266,22 @@ class TestBuildRecovery:
         rec = build_recovery(code, ops)
         assert sum(1 for lbl in rec.row_labels if lbl.m is not None) == 4
         assert np.max(np.abs(rec.matrix @ rec.matrix.T - np.eye(8))) <= 1e-10
+
+    @pytest.mark.parametrize("bad", ["repeated unit row", "nan"])
+    def test_rejects_non_orthogonal_matrix(self, bad):
+        m = np.eye(4)
+        if bad == "nan":
+            m[2, 3] = np.nan
+        else:
+            m[3] = m[1]
+        with pytest.raises(ValueError, match="not orthogonal"):
+            RecoveryMatrix(
+                code_name="x",
+                matrix=m,
+                row_labels=tuple(RowLabel(None, "(completion)") for _ in range(4)),
+                classes=(),
+                class_map={},
+            )
 
 
 def kl_fields_pairwise(code, ops):
