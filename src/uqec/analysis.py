@@ -4,17 +4,25 @@
 The product-form test reconstructs the state from its two partial traces and
 measures the Frobenius distance; for states that truly factorize this is
 exact, so a small residual certifies the tensor-product claim. Whether a case
-passes is decided in one place, run_experiment, against its tolerance.
+passes is decided in one place, run_experiments, against its tolerance.
 
 Each case is computed in factor form (see recovery.recover_pure_state): the
 recovered state and both partial traces are Gram products B @ B.T, which are
 positive semidefinite by construction. The recovered state itself is never
 formed: its residual is taken in the span of the ancilla factor
 (check_product_form).
+
+Every stage takes a stack of states along a leading axis, so the input
+states of a channel take one pass. Each state's numbers are bit for bit those
+of a stack of one: numpy's stacked matmul and QR make the same BLAS or LAPACK
+call per state, with the same shapes, and the reductions numpy may order
+differently over a stack (the residual's dot, the "(outside)" sum, the
+syndrome total) stay per state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from statistics import NormalDist
@@ -55,14 +63,20 @@ INPUT_STATES = (
 
 @dataclass(frozen=True, eq=False)
 class FactorizationResult:
+    """Both partial traces of one recovered state and its product-form
+    residual."""
+
     reduced_qubit: DensityMatrix
     reduced_ancilla: DensityMatrix
     residual: float
 
 
-def check_product_form(rho_out: DensityMatrix) -> FactorizationResult:
-    """Compare rho_out against the product q (x) a of its own partial traces,
-    q that of the first qubit and a that of the rest (the ancilla).
+def check_product_form(
+    rho_out: DensityMatrix,
+) -> tuple[DensityMatrix, DensityMatrix, list[float]]:
+    """Compare each state of the stack rho_out against the product q (x) a of
+    its own partial traces, q that of the first qubit and a that of the rest
+    (the ancilla). Returns the stacks of q and a and each state's residual.
 
     The factor A of rho_out = A A^T splits into the row blocks A_0, A_1 of
     the first qubit, and each partial trace is a Gram product: q from
@@ -74,50 +88,59 @@ def check_product_form(rho_out: DensityMatrix) -> FactorizationResult:
     orthonormal columns, so the Frobenius norms are equal; the difference is
     still formed entry by entry, so no cancellation floor appears. When G is
     not thin, R = G and S = A, the dense formula itself.
+
+    q and a are reorderings of the checked factor A, so they are not checked
+    again.
     """
-    if rho_out.dim % 2:
-        raise ValueError(f"state dimension {rho_out.dim} is odd: no first qubit to split off")
-    rest = rho_out.dim // 2
-    blocks = rho_out.factor.reshape(2, rest, -1)
-    g = blocks.transpose(1, 0, 2).reshape(rest, -1)
-    reduced_qubit = DensityMatrix.from_factor(blocks.reshape(2, -1))
-    reduced_ancilla = DensityMatrix.from_factor(g)
-    if g.shape[1] < g.shape[0]:
-        g = np.linalg.qr(g, mode="r")
-    stacked = g.reshape(g.shape[0], 2, -1).transpose(1, 0, 2)
-    stacked = stacked.reshape(2 * g.shape[0], -1)
-    residual = float(np.linalg.norm(stacked @ stacked.T - _kron2(reduced_qubit.matrix, g @ g.T)))
-    return FactorizationResult(
-        reduced_qubit=reduced_qubit, reduced_ancilla=reduced_ancilla, residual=residual
-    )
+    s, d, k = rho_out.factor.shape
+    if d % 2:
+        raise ValueError(f"state dimension {d} is odd: no first qubit to split off")
+    rest = d // 2
+    blocks = rho_out.factor.reshape(s, 2, rest, k)
+    g = blocks.transpose(0, 2, 1, 3).reshape(s, rest, 2 * k)
+    g.setflags(write=False)
+    reduced_qubit = DensityMatrix.from_checked_factor(blocks.reshape(s, 2, rest * k))
+    reduced_ancilla = DensityMatrix.from_checked_factor(g)
+    if 2 * k < rest:
+        r = np.linalg.qr(g, mode="r")
+        r_gram = r @ r.transpose(0, 2, 1)
+    else:
+        r, r_gram = g, reduced_ancilla.matrix
+    m = r.shape[1]
+    stacked = r.reshape(s, m, 2, -1).transpose(0, 2, 1, 3).reshape(s, 2 * m, -1)
+    diff = stacked @ stacked.transpose(0, 2, 1)
+    # Subtract q (x) R R^T in place: entry (a m + b, c m + e) loses
+    # q[a, c] (R R^T)[b, e].
+    q = reduced_qubit.matrix
+    diff.reshape(s, 2, m, 2, m)[...] -= q[:, :, None, :, None] * r_gram[:, None, :, None, :]
+    # np.linalg.norm of each state's difference, whose dot stays per state.
+    residuals = [math.sqrt(x.dot(x)) for x in diff.reshape(s, -1)]
+    return reduced_qubit, reduced_ancilla, residuals
 
 
-def _kron2(q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """np.kron(q, a) for two matrices: the same products, without np.kron's
-    general-rank overhead."""
-    n, m = q.shape[0] * a.shape[0], q.shape[1] * a.shape[1]
-    return (q[:, None, :, None] * a[None, :, None, :]).reshape(n, m)
-
-
-def fidelity_pure(rho_a: DensityMatrix, psi: PureQubitState) -> float:
-    """<psi| rho |psi> against a pure single-qubit target."""
+def fidelity_pure(rho_a: DensityMatrix, states: Sequence[PureQubitState]) -> list[float]:
+    """<psi| rho |psi> for each single-qubit state of the stack rho_a against
+    its pure target in `states`."""
     if rho_a.dim != 2:
-        raise ValueError(f"expected a single-qubit state, got dimension {rho_a.dim}")
-    v = psi.vector
-    return float(v @ rho_a.matrix @ v)
+        raise ValueError(f"expected single-qubit states, got dimension {rho_a.dim}")
+    v = np.array([(psi.alpha, psi.beta) for psi in states])
+    return (v[:, None, :] @ rho_a.matrix @ v[:, :, None]).reshape(-1).tolist()
 
 
 def syndrome_distribution(
     sigma_prime: DensityMatrix, class_labels: Sequence[str]
-) -> list[tuple[str, float]]:
-    """Pair the diagonal of the recovered ancilla state with error-class
-    labels, one per leading diagonal slot; any mass on the remaining
-    (completion) slots is aggregated under "(outside)". Off-diagonal mass is
-    not read here: run_experiment weighs it against the tolerance."""
-    diag = np.diag(sigma_prime.matrix)
-    out = [(label, float(diag[c])) for c, label in enumerate(class_labels)]
-    if sigma_prime.dim > len(class_labels):
-        out.append(("(outside)", float(diag[len(class_labels) :].sum())))
+) -> list[list[tuple[str, float]]]:
+    """For each ancilla state of the stack sigma_prime, pair its diagonal
+    with error-class labels, one per leading diagonal slot; any mass on the
+    remaining (completion) slots is aggregated under "(outside)". Off-diagonal
+    mass is not read here: run_experiments weighs it against the tolerance."""
+    k = len(class_labels)
+    out = []
+    for diag in np.diagonal(sigma_prime.matrix, axis1=1, axis2=2):
+        pairs = list(zip(class_labels, diag[:k].tolist()))
+        if sigma_prime.dim > k:
+            pairs.append(("(outside)", float(diag[k:].sum())))
+        out.append(pairs)
     return out
 
 
@@ -136,6 +159,10 @@ def _require_channel_in_error_set(
         )
 
 
+# The conditions a case must meet, in the order RecoveryReport.failed lists them.
+CONDITIONS = ("fidelity", "product_form", "ancilla_diagonal", "syndrome_trace")
+
+
 @dataclass(frozen=True, eq=False)
 class RecoveryReport:
     """One full encode -> channel -> recover -> factorize run."""
@@ -149,12 +176,72 @@ class RecoveryReport:
     # Largest |sigma[i, j]|, i != j, of the reduced ancilla sigma.
     max_offdiagonal: float
     syndrome: tuple[tuple[str, float], ...]
-    passed: bool
+    # The CONDITIONS this case missed at its tolerance.
+    failed: tuple[str, ...]
     tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
     @property
     def residual(self) -> float:
         return self.factorization.residual
+
+
+def run_experiments(
+    code: Code | str,
+    channel: ErrorChannel,
+    states: Sequence[PureQubitState],
+    tol: float = DEFAULT_TOL,
+) -> list[RecoveryReport]:
+    """Encode each psi of `states`, apply the channel, apply the recovery
+    matrix, and check that each output is (original qubit) x (diagonal
+    ancilla): one report per state, in order, from one pass over the stack.
+
+    This is the one place a case meets tol. It passes when the qubit is
+    recovered (fidelity), the state is a product (residual), the ancilla is
+    diagonal (largest off-diagonal magnitude) and the syndrome sums to 1;
+    `failed` names each of these conditions whose comparison is false, so a
+    NaN value fails its condition. A failed case still reports its ancilla
+    diagonal as the syndrome."""
+    code = get_code(code) if isinstance(code, str) else code
+    rec = recovery_for(code.name)
+    _require_channel_in_error_set(channel, code, rec)
+    rho_out = recover_pure_state(rec, channel, [encode_state(code, psi) for psi in states])
+    qubits, ancillas, residuals = check_product_form(rho_out)
+    fids = fidelity_pure(qubits, states)
+    syndromes = syndrome_distribution(ancillas, rec.class_labels)
+    sigma = ancillas.matrix
+    s, n = sigma.shape[:2]
+    # Past the first entry of each flattened sigma, every run of n + 1
+    # entries ends on a diagonal one, so this view holds exactly the
+    # off-diagonal.
+    off = sigma.reshape(s, -1)[:, 1:].reshape(s, n - 1, n + 1)[:, :, :n]
+    max_offs = np.abs(off).max(axis=(1, 2), initial=0.0).tolist()
+    terms = tuple((op.label, float(p)) for p, op in channel.terms)
+    reports = []
+    for i, psi in enumerate(states):
+        total = sum(p for _, p in syndromes[i])
+        met = (
+            fids[i] >= 1.0 - tol,
+            residuals[i] <= tol,
+            max_offs[i] <= tol,
+            abs(total - 1.0) <= tol,
+        )
+        reports.append(RecoveryReport(
+            code=code.name,
+            channel=terms,
+            alpha=psi.alpha,
+            beta=psi.beta,
+            fidelity=fids[i],
+            factorization=FactorizationResult(qubits[i], ancillas[i], residuals[i]),
+            max_offdiagonal=max_offs[i],
+            syndrome=tuple(syndromes[i]),
+            failed=tuple(c for c, ok in zip(CONDITIONS, met) if not ok),
+            tolerance=tol,
+        ))
+    return reports
 
 
 def run_experiment(
@@ -163,45 +250,8 @@ def run_experiment(
     psi: PureQubitState,
     tol: float = DEFAULT_TOL,
 ) -> RecoveryReport:
-    """Encode psi, apply the channel, apply the recovery matrix, and check
-    that the output is (original qubit) x (diagonal ancilla).
-
-    This is the one place a case meets tol. It passes when the qubit is
-    recovered (fidelity), the state is a product (residual), the ancilla is
-    diagonal (largest off-diagonal magnitude) and the syndrome sums to 1. A
-    failed case still reports its ancilla diagonal as the syndrome."""
-    code = get_code(code) if isinstance(code, str) else code
-    rec = recovery_for(code.name)
-    _require_channel_in_error_set(channel, code, rec)
-    rho_out = recover_pure_state(rec, channel, encode_state(code, psi))
-    fact = check_product_form(rho_out)
-    fid = fidelity_pure(fact.reduced_qubit, psi)
-    sigma = fact.reduced_ancilla.matrix
-    n = sigma.shape[0]
-    # Past the first entry of the flattened sigma, every run of n + 1 entries
-    # ends on a diagonal one, so this view holds exactly the off-diagonal.
-    off = sigma.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
-    max_off = float(np.abs(off).max(initial=0.0))
-    syndrome = syndrome_distribution(fact.reduced_ancilla, rec.class_labels)
-    total = sum(p for _, p in syndrome)
-    passed = (
-        fid >= 1.0 - tol
-        and fact.residual <= tol
-        and max_off <= tol
-        and abs(total - 1.0) <= tol
-    )
-    return RecoveryReport(
-        code=code.name,
-        channel=tuple((op.label, float(p)) for p, op in channel.terms),
-        alpha=psi.alpha,
-        beta=psi.beta,
-        fidelity=fid,
-        factorization=fact,
-        max_offdiagonal=max_off,
-        syndrome=tuple(syndrome),
-        passed=passed,
-        tolerance=tol,
-    )
+    """run_experiments for the single input psi."""
+    return run_experiments(code, channel, (psi,), tol)[0]
 
 
 # --- verification grids -----------------------------------------------------
@@ -242,13 +292,13 @@ def verify_code(
     code: Code | str, tol: float = DEFAULT_TOL, seed: int = 42
 ) -> Iterator[RecoveryReport]:
     """Run the full grid of channels and input states for one code, yielding
-    each report as it is made, so a caller need not hold the whole grid."""
+    each report as it is made, so a caller need not hold the whole grid. The
+    input states of a channel run as one stack (run_experiments)."""
     code = get_code(code) if isinstance(code, str) else code
     ops = standard_error_set(code)
     for probs in verification_probability_vectors(len(ops), seed=seed):
         channel = ErrorChannel.from_probs(ops, probs)
-        for psi in INPUT_STATES:
-            yield run_experiment(code, channel, psi, tol)
+        yield from run_experiments(code, channel, INPUT_STATES, tol)
 
 
 # --- trajectory cross-check -------------------------------------------------

@@ -39,8 +39,9 @@ class KLViolationError(ValueError):
 
 class DensityMatrix:
     """Real symmetric, trace-1, positive semidefinite matrix B @ B.T, held as
-    its real factor B (from_factor). The read-only matrix is formed on first
-    use, so code that works on the factor alone never builds it.
+    its real factor B (from_factor); or a stack of them, one per state along
+    a leading axis, where rho[i] is state i. The read-only matrix is formed
+    on first use, so code that works on the factor alone never builds it.
     """
 
     factor: np.ndarray
@@ -50,34 +51,52 @@ class DensityMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        m = self.factor @ self.factor.T
+        m = self.factor @ np.swapaxes(self.factor, -1, -2)
         m.setflags(write=False)
         return m
 
     @property
     def dim(self) -> int:
-        return self.factor.shape[0]
+        return self.factor.shape[-2]
+
+    def __getitem__(self, i: int) -> "DensityMatrix":
+        """State i of a stack: views of the stack's factor and, once formed,
+        of its matrix."""
+        rho = DensityMatrix.from_checked_factor(self.factor[i])
+        if "matrix" in vars(self):
+            object.__setattr__(rho, "matrix", self.matrix[i])
+        return rho
 
     @classmethod
     def from_factor(cls, factor: np.ndarray) -> "DensityMatrix":
-        """B @ B.T for a real d x k factor B, e.g. one column per Kraus term.
+        """B @ B.T for a real d x k factor B, e.g. one column per Kraus term,
+        or a stack of them for an s x d x k factor.
 
         B @ B.T is positive semidefinite for every real B, and numpy computes
-        it exactly symmetric, so only finiteness and the trace (the squared
-        norm of B) are checked: an eigenvalue test could not fail.
+        it exactly symmetric, so only each state's trace (the squared norm of
+        its factor) is checked: an eigenvalue test could not fail. A NaN or
+        infinite entry makes its state's trace NaN or infinite, so the same
+        test rejects it.
         """
         b = np.ascontiguousarray(factor, dtype=float)
-        if b.ndim != 2:
-            raise ValueError(f"factor must be 2-D, got shape {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError("factor has non-finite entries")
-        trace = float(np.vdot(b, b))
-        # Written so that a NaN or inf trace fails it.
-        if not abs(trace - 1.0) <= 1e-12:
-            raise ValueError(f"trace is {trace!r}, expected 1")
+        if b.ndim not in (2, 3):
+            raise ValueError(f"factor must be 2-D or a stack of 2-D, got shape {b.shape}")
+        for state in b if b.ndim == 3 else (b,):
+            trace = float(np.vdot(state, state))
+            # Written so that a NaN or inf trace fails it.
+            if not abs(trace - 1.0) <= 1e-12:
+                if not np.isfinite(b).all():
+                    raise ValueError("factor has non-finite entries")
+                raise ValueError(f"trace is {trace!r}, expected 1")
         b.setflags(write=False)
+        return cls.from_checked_factor(b)
+
+    @classmethod
+    def from_checked_factor(cls, factor: np.ndarray) -> "DensityMatrix":
+        """Wrap a factor taken apart from one that from_factor checked (a
+        view or a reordering of its entries), without checking it again."""
         rho = object.__new__(cls)
-        object.__setattr__(rho, "factor", b)
+        object.__setattr__(rho, "factor", factor)
         return rho
 
 
@@ -300,7 +319,7 @@ class RecoveryMatrix:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    @property
+    @cached_property
     def class_labels(self) -> tuple[str, ...]:
         return tuple(_class_label(c) for c in self.classes)
 
@@ -383,16 +402,31 @@ def recovery_for(code_name: str) -> RecoveryMatrix:
 
 
 def recover_pure_state(
-    recovery: RecoveryMatrix, channel: ErrorChannel, state: np.ndarray
+    recovery: RecoveryMatrix, channel: ErrorChannel, states: np.ndarray
 ) -> DensityMatrix:
-    """R (sum_i p_i W_i psi psi^T W_i^T) R^T for a pure input psi, in factor
-    form: A @ A.T with A = R [sqrt(p_i) W_i psi], one column per term with
-    p_i > 0. Neither the corrupted state nor R rho R^T is formed densely."""
-    state = np.asarray(state, dtype=float)
-    if not recovery.dim == channel.dim == state.shape[0]:
+    """R (sum_i p_i W_i psi psi^T W_i^T) R^T for each pure input psi, one per
+    row of `states`, as a stack in factor form: A @ A.T with A = R V and
+    V = [sqrt(p_i) W_i psi], one column per term with p_i > 0. Neither the
+    corrupted state nor R rho R^T is formed densely.
+
+    The states share the channel, so V is one s x d x k scatter and A one
+    stacked product, which numpy computes with the same BLAS call per state
+    as for a state alone. The stack is checked once, here.
+    """
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2:
+        raise ValueError(f"states must be one vector per row, got shape {states.shape}")
+    if not recovery.dim == channel.dim == states.shape[1]:
         raise ValueError(
             f"recovery dimension {recovery.dim}, channel dimension {channel.dim} "
-            f"and state dimension {state.shape[0]} differ"
+            f"and state dimension {states.shape[1]} differ"
         )
-    columns = [np.sqrt(p) * op.apply(state) for p, op in channel.terms if p > 0]
-    return DensityMatrix.from_factor(recovery.matrix @ np.column_stack(columns))
+    terms = [(p, op) for p, op in channel.terms if p > 0]
+    perms = np.array([op.perm for _, op in terms])
+    signs = np.array([op.signs for _, op in terms])
+    roots = np.sqrt([p for p, _ in terms])
+    # Column j of V[s] is sqrt(p_j) W_j psi_s: W_j carries entry r of psi_s
+    # to row perm_j[r] with sign signs_j[r] (ErrorOperator.apply).
+    v = np.empty((len(states), recovery.dim, len(terms)))
+    v[:, perms, np.arange(len(terms))[:, None]] = signs * states[:, None, :] * roots[:, None]
+    return DensityMatrix.from_factor(recovery.matrix @ v)

@@ -52,31 +52,32 @@ class QubitSplit:
 
 
 class DensityMatrix(recovery.DensityMatrix):
-    """A density matrix given densely and validated in full: square, finite,
-    symmetric, trace 1 and positive semidefinite (eigvalsh). from_factor is
-    inherited, so the factor form is available as well."""
+    """A density matrix, or a stack of them along a leading axis, given
+    densely and validated in full: square, finite, symmetric, trace 1 and
+    positive semidefinite (eigvalsh). from_factor is inherited, so the factor
+    form is available as well."""
 
     factor = None
 
     def __init__(self, matrix: np.ndarray) -> None:
         m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
-        if float(np.max(np.abs(m - m.T))) > 1e-12:
+        if float(np.max(np.abs(m - np.swapaxes(m, -1, -2)))) > 1e-12:
             raise ValueError("density matrix is not symmetric")
-        trace = float(np.trace(m))
-        if not abs(trace - 1.0) <= 1e-12:
-            raise ValueError(f"trace is {trace!r}, expected 1")
-        if float(np.linalg.eigvalsh(m)[0]) < -1e-10:
+        for trace in np.atleast_1d(np.trace(m, axis1=-2, axis2=-1)).tolist():
+            if not abs(trace - 1.0) <= 1e-12:
+                raise ValueError(f"trace is {trace!r}, expected 1")
+        if float(np.min(np.linalg.eigvalsh(m))) < -1e-10:
             raise ValueError("density matrix is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0] if self.factor is None else super().dim
+        return self.matrix.shape[-1] if self.factor is None else super().dim
 
     @classmethod
     def from_state(cls, vec: np.ndarray) -> "DensityMatrix":

@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Nothing here imports from the package: Kronecker products are computed by
-explicit index loops, operator embeddings by chaining them, and the corrupted
-3-qubit density matrix is written out entry by entry. These stay deliberately
+explicit index loops, operator embeddings column by column from the bits of
+the basis index, and the corrupted 3-qubit density matrix is written out
+entry by entry. These stay deliberately
 naive so they cannot share a bug with the fast paths they check.
 """
 
@@ -28,11 +29,25 @@ def kron_brute(a, b):
 
 
 def embed_brute(op, qubit, n):
-    """op acting on the given qubit (1..n), identity elsewhere."""
-    out = np.array([[1.0]])
-    for q in range(1, n + 1):
-        out = kron_brute(out, op if q == qubit else I1Q)
+    """op acting on the given qubit (1..n), identity elsewhere: column j
+    holds op[b, c], where c is the qubit's bit in j, in the row that is j
+    with that bit set to b. Qubit 1 is the most significant bit."""
+    d = 2 ** n
+    bit = 1 << (n - qubit)
+    out = np.zeros((d, d))
+    for j in range(d):
+        c = 1 if j & bit else 0
+        for b in (0, 1):
+            out[(j & ~bit) | (bit if b else 0), j] = op[b, c]
     return out
+
+
+def pauli_brute(label, n):
+    """The dense operator of a label "I" or "<X|Y|Z>_<qubit>" on n qubits."""
+    if label == "I":
+        return np.eye(2 ** n)
+    kind, qubit = label.split("_")
+    return embed_brute({"X": X1Q, "Y": Y1Q, "Z": Z1Q}[kind], int(qubit), n)
 
 
 def bitflip_channel_brute(rho, probs):
@@ -140,3 +155,24 @@ def choice_counts(probs, samples, seed):
     rng = np.random.default_rng(seed)
     drawn = rng.choice(len(probs), size=samples, p=probs)
     return np.bincount(drawn, minlength=len(probs))
+
+
+def conventional_recovery(reps, l0, l1, V):
+    """Projective recovery of rho = V V^T, the comparison for the single
+    orthogonal recovery: for each error class c with representative operator
+    W_c, B_c = W_c [l0 l1] is an isometry onto that class's syndrome space.
+    Projecting onto it and undoing W_c leaves B_c^T rho B_c, so the data
+    qubit is the sum of these over the classes and the syndrome probability
+    of class c is its trace. V is d x k, or a stack of them (..., d, k).
+
+    Returns the data qubit (..., 2, 2) and the syndrome (..., classes), in
+    the order of reps."""
+    logical = np.column_stack([l0, l1])
+    qubit = 0.0
+    syndrome = []
+    for w in reps:
+        x = (w @ logical).T @ V
+        term = x @ np.swapaxes(x, -1, -2)
+        qubit = qubit + term
+        syndrome.append(np.trace(term, axis1=-2, axis2=-1))
+    return qubit, np.stack(syndrome, axis=-1)

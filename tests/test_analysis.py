@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from uqec.analysis import (
+    CONDITIONS,
     DEFAULT_TOL,
     _term_counts,
     INPUT_STATES,
     TRAJECTORY_ALPHA,
+    FactorizationResult,
     check_product_form,
     fidelity_pure,
     report_to_json,
     run_experiment,
+    run_experiments,
     simplex_grid,
     syndrome_distribution,
     to_json,
@@ -39,7 +42,7 @@ from dense import (
     recovered_terms,
     verify_permutation_factorization_3qubit,
 )
-from oracles import choice_counts
+from oracles import choice_counts, conventional_recovery, group_pairs_brute, pauli_brute
 
 
 def channel_for(name, probs):
@@ -76,7 +79,7 @@ class TestCheckProductForm:
 
     def test_dimension_mismatch(self):
         # The first qubit is split off the rest: an odd dimension has none.
-        rho = DensityMatrix.from_factor(basis_vector(3, 0).reshape(3, 1))
+        rho = DensityMatrix.from_factor(basis_vector(3, 0).reshape(1, 3, 1))
         with pytest.raises(ValueError, match="odd"):
             check_product_form(rho)
 
@@ -96,8 +99,9 @@ class TestCheckProductForm:
             product = np.kron(rng.standard_normal((2, 1)), rng.standard_normal((rest, k)))
             a = product + eps * rng.standard_normal((2 * rest, k))
         a /= np.linalg.norm(a)
-        rho = DensityMatrix.from_factor(a)
-        fast = check_product_form(rho)
+        rho = DensityMatrix.from_factor(a[None])
+        qubit, ancilla, residuals = check_product_form(rho)
+        fast = FactorizationResult(qubit[0], ancilla[0], residuals[0])
         dense = check_product_form_dense(DensityMatrix(a @ a.T), QubitSplit(2, rest))
         assert abs(fast.residual - dense.residual) <= 1e-15
         assert (fast.residual <= DEFAULT_TOL) == (dense.residual <= DEFAULT_TOL)
@@ -113,49 +117,58 @@ class TestCheckProductForm:
 class TestFidelityPure:
     def test_pure_self_fidelity(self):
         psi = PureQubitState(0.6, 0.8)
-        assert fidelity_pure(DensityMatrix(np.outer(psi.vector, psi.vector)), psi) == pytest.approx(1.0, abs=1e-15)
+        rho = DensityMatrix(np.outer(psi.vector, psi.vector)[None])
+        assert fidelity_pure(rho, [psi]) == [pytest.approx(1.0, abs=1e-15)]
 
     def test_maximally_mixed(self):
-        rho = DensityMatrix(0.5 * np.eye(2))
-        for psi in INPUT_STATES:
-            assert fidelity_pure(rho, psi) == pytest.approx(0.5, abs=1e-15)
+        rho = DensityMatrix(np.stack([0.5 * np.eye(2)] * len(INPUT_STATES)))
+        fids = fidelity_pure(rho, INPUT_STATES)
+        assert fids == [pytest.approx(0.5, abs=1e-15)] * len(INPUT_STATES)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="single-qubit"):
-            fidelity_pure(DensityMatrix(np.eye(4) / 4), PureQubitState(1.0, 0.0))
+            fidelity_pure(DensityMatrix(np.eye(4)[None] / 4), [PureQubitState(1.0, 0.0)])
+
+
+def one_syndrome(sigma, labels):
+    """syndrome_distribution of a stack of the one ancilla matrix sigma."""
+    (dist,) = syndrome_distribution(DensityMatrix(np.asarray(sigma)[None]), labels)
+    return dist
 
 
 class TestSyndromeDistribution:
     def test_bitflip3_reordered_diagonal(self):
-        sigma = DensityMatrix(np.diag([0.5, 0.05, 0.15, 0.3]))
         labels = ("I", "X_3", "X_2", "X_1")
-        assert syndrome_distribution(sigma, labels) == [
+        assert one_syndrome(np.diag([0.5, 0.05, 0.15, 0.3]), labels) == [
             ("I", 0.5), ("X_3", 0.05), ("X_2", 0.15), ("X_1", 0.3),
         ]
 
     def test_uniform_16(self):
-        sigma = DensityMatrix(np.eye(16) / 16)
         labels = tuple(f"W_{i}" for i in range(16))
-        dist = syndrome_distribution(sigma, labels)
+        dist = one_syndrome(np.eye(16) / 16, labels)
         assert all(p == pytest.approx(0.0625, abs=1e-15) for _, p in dist)
 
     def test_no_error_channel(self):
-        sigma = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
-        dist = syndrome_distribution(sigma, ("I", "X_3", "X_2", "X_1"))
+        dist = one_syndrome(np.diag([1.0, 0.0, 0.0, 0.0]), ("I", "X_3", "X_2", "X_1"))
         assert dist[0] == ("I", 1.0)
         assert all(p == 0.0 for _, p in dist[1:])
 
     def test_completion_slots_aggregate_as_outside(self):
-        sigma = DensityMatrix(np.diag([0.7, 0.1, 0.15, 0.05]))
-        dist = syndrome_distribution(sigma, ("I", "X_1"))
+        dist = one_syndrome(np.diag([0.7, 0.1, 0.15, 0.05]), ("I", "X_1"))
         assert dist[-1] == ("(outside)", pytest.approx(0.2, abs=1e-15))
 
     def test_off_diagonal_mass_is_not_read(self):
-        # Only run_experiment weighs off-diagonal mass against a tolerance;
+        # Only run_experiments weighs off-diagonal mass against a tolerance;
         # the syndrome of a non-diagonal ancilla is still its diagonal.
         m = np.array([[0.7, 0.2, 0.0], [0.2, 0.2, 0.05], [0.0, 0.05, 0.1]])
-        dist = syndrome_distribution(DensityMatrix(m), ("I", "X_1"))
-        assert dist == [("I", 0.7), ("X_1", 0.2), ("(outside)", 0.1)]
+        assert one_syndrome(m, ("I", "X_1")) == [("I", 0.7), ("X_1", 0.2), ("(outside)", 0.1)]
+
+    def test_one_distribution_per_state_of_a_stack(self):
+        stack = np.stack([np.diag([0.5, 0.3, 0.2]), np.diag([0.1, 0.1, 0.8])])
+        assert syndrome_distribution(DensityMatrix(stack), ("I", "X_1")) == [
+            [("I", 0.5), ("X_1", 0.3), ("(outside)", 0.2)],
+            [("I", 0.1), ("X_1", 0.1), ("(outside)", 0.8)],
+        ]
 
 
 class TestPermutationFactorization:
@@ -352,14 +365,19 @@ class TestTermCounts:
 
 
 class TestFactorPathMatchesDenseOracle:
-    """run_experiment computes each case in factor form; the dense channel and
-    R rho R^T path must agree with it to 1e-14 (float64 rounding over sums of
-    at most 28 terms) over the whole verify grid, with identical verdicts.
+    """run_experiments computes the input states of a channel in factor form,
+    as one stack; the dense channel and R rho R^T path must agree with it to
+    1e-14 (float64 rounding over sums of at most 28 terms) over the whole
+    verify grid, with identical verdicts.
 
     The dense state of a case combines the dense recovered terms
     R W_i M W_i^T R^T of the three symmetric logical matrices M, each formed
     once per code (dense.recovered_terms): the channel and R rho R^T are
-    linear in p and in rho."""
+    linear in p and in rho.
+
+    The conventional projective recovery (oracles.conventional_recovery,
+    with operators and classes built apart from the package) must give the
+    same data qubit and syndrome to 1e-14, with identical verdicts."""
 
     @pytest.mark.parametrize("name", CODE_NAMES)
     def test_verify_grid(self, name):
@@ -369,21 +387,37 @@ class TestFactorPathMatchesDenseOracle:
         split = QubitSplit(2, code.dim // 2)
         grid = verification_probability_vectors(len(ops), seed=42)
         terms = recovered_terms(rec, ops, code)
-        worst = 0.0
+        # W_i [|0>_L |1>_L] of each operator, and its error classes.
+        shifted = np.stack([
+            pauli_brute(op.label, code.n) @ np.column_stack([code.logical0, code.logical1])
+            for op in ops
+        ])
+        groups = group_pairs_brute(shifted[:, :, 0], shifted[:, :, 1], 1e-10)
+        reps = [pauli_brute(ops[grp[0]].label, code.n) for grp in groups]
+        class_of = {frozenset(ops[i].label for i in grp): c for c, grp in enumerate(groups)}
+        amplitudes = np.array([psi.vector for psi in INPUT_STATES])
+        worst = worst_conventional = 0.0
         for probs in grid:
             channel = ErrorChannel.from_probs(ops, probs)
             logical = np.tensordot(probs, terms, axes=1)
-            for psi in INPUT_STATES:
-                encoded = encode_state(code, psi)
+            reports = run_experiments(code, channel, INPUT_STATES)
+            encoded = [encode_state(code, psi) for psi in INPUT_STATES]
+            recovered = recover_pure_state(rec, channel, encoded).matrix
+            # The factor of each corrupted state: column i is sqrt(p_i) W_i psi.
+            v = np.einsum("idm,sm->sdi", shifted, amplitudes) * np.sqrt(probs)
+            conv_qubit, conv_syndrome = conventional_recovery(
+                reps, code.logical0, code.logical1, v
+            )
+            for s, (psi, report) in enumerate(zip(INPUT_STATES, reports)):
                 a, b = psi.alpha, psi.beta
+                assert (report.alpha, report.beta) == (a, b)
                 dense = np.tensordot([a * a, b * b, a * b], logical, axes=1)
-                report = run_experiment(code, channel, psi)
                 fact = report.factorization
                 qubit = partial_trace(dense, split, keep="first")
                 ancilla = partial_trace(dense, split, keep="rest")
                 worst = max(
                     worst,
-                    float(np.max(np.abs(recover_pure_state(rec, channel, encoded).matrix - dense))),
+                    float(np.max(np.abs(recovered[s] - dense))),
                     float(np.max(np.abs(fact.reduced_qubit.matrix - qubit))),
                     float(np.max(np.abs(fact.reduced_ancilla.matrix - ancilla))),
                 )
@@ -399,7 +433,63 @@ class TestFactorPathMatchesDenseOracle:
                 )
                 assert report.passed == dense_passed
                 assert report.passed
+
+                syndrome = {
+                    frozenset(label.strip("{}").split(",")): p
+                    for label, p in report.syndrome if label != "(outside)"
+                }
+                assert syndrome.keys() == class_of.keys()
+                worst_conventional = max(
+                    worst_conventional,
+                    float(np.max(np.abs(conv_qubit[s] - fact.reduced_qubit.matrix))),
+                    *(abs(conv_syndrome[s, class_of[c]] - p) for c, p in syndrome.items()),
+                )
+                conventional_passed = (
+                    psi.vector @ conv_qubit[s] @ psi.vector >= 1.0 - tol
+                    and abs(conv_syndrome[s].sum() - 1.0) <= tol
+                )
+                assert conventional_passed == report.passed
         assert worst <= 1e-14
+        assert worst_conventional <= 1e-14
+
+
+class TestFailedConditions:
+    """RecoveryReport.failed names each condition whose comparison against
+    the tolerance is false, and passed is exactly `not failed`."""
+
+    @staticmethod
+    def missed(report, tol):
+        total = sum(p for _, p in report.syndrome)
+        met = {
+            "fidelity": report.fidelity >= 1.0 - tol,
+            "product_form": report.residual <= tol,
+            "ancilla_diagonal": report.max_offdiagonal <= tol,
+            "syndrome_trace": abs(total - 1.0) <= tol,
+        }
+        return tuple(c for c in CONDITIONS if not met[c])
+
+    @pytest.mark.parametrize("name", ["divincenzo5", "shor9"])
+    def test_tol_zero_names_each_missed_condition(self, name):
+        seen = set()
+        reports = list(verify_code(name, tol=0.0))
+        for report in reports:
+            assert report.failed == self.missed(report, 0.0)
+            assert report.passed == (not report.failed)
+            seen.update(report.failed)
+        # At tol 0 rounding alone fails cases, and not for one reason.
+        assert not all(r.passed for r in reports)
+        assert len(seen) >= 2
+
+    def test_default_tolerance_fails_nothing(self):
+        for report in verify_code("divincenzo5"):
+            assert report.failed == ()
+            assert report.passed is True
+
+    def test_nan_fails_every_condition(self):
+        channel = channel_for("bitflip3", [0.7, 0.1, 0.1, 0.1])
+        report = run_experiment("bitflip3", channel, PureQubitState(0.6, 0.8), tol=float("nan"))
+        assert report.failed == CONDITIONS
+        assert report.passed is False
 
 
 class TestReportJson:

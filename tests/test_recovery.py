@@ -122,6 +122,25 @@ class TestFromFactor:
         with pytest.raises(ValueError, match="2-D"):
             DensityMatrix.from_factor(np.array([0.6, 0.8]))
 
+    def test_stack_checks_the_trace_of_each_state(self):
+        good = np.array([[0.6], [0.8]])
+        with pytest.raises(ValueError, match="trace is 2.0"):
+            DensityMatrix.from_factor(np.stack([good, good, 2 ** 0.5 * good]))
+
+    def test_stack_item_views_the_stack(self):
+        b = np.random.default_rng(2).standard_normal((3, 8, 4))
+        b /= np.linalg.norm(b, axis=(1, 2), keepdims=True)
+        rho = DensityMatrix.from_factor(b)
+        assert rho.dim == 8
+        unformed = rho[1]
+        assert np.shares_memory(unformed.factor, rho.factor)
+        assert "matrix" not in vars(unformed)
+        assert np.array_equal(unformed.matrix, b[1] @ b[1].T)
+        stack = rho.matrix
+        formed = rho[2]  # once the stack's matrix exists, an item views it
+        assert np.shares_memory(formed.matrix, stack)
+        assert np.array_equal(formed.matrix, rho.matrix[2])
+
 
 class TestErrorChannel:
     def test_rejects_bad_sum(self):
@@ -244,6 +263,13 @@ class TestBuildRecovery:
         assert len(labeled) == 44
         assert len(completion) == 468
         assert np.max(np.abs(rec.matrix @ rec.matrix.T - np.eye(512))) <= 1e-10
+
+    def test_class_labels_are_stored_once(self):
+        rec = recovery_for("shor9")
+        assert rec.class_labels is rec.class_labels
+        assert len(rec.class_labels) == rec.n_classes == 22
+        assert rec.class_labels[-3:] == ("{Z_1,Z_2,Z_3}", "{Z_4,Z_5,Z_6}", "{Z_7,Z_8,Z_9}")
+        assert [lbl.label for lbl in rec.row_labels[:22]] == list(rec.class_labels)
 
     def test_labeled_rows_are_shifted_codewords(self):
         code = shor9()
@@ -463,15 +489,24 @@ class TestRecoverPureState:
         probs = np.random.default_rng(5).dirichlet(np.ones(len(ops)))
         probs[3] = 0.0
         channel = ErrorChannel.from_probs(ops, probs / probs.sum())
-        encoded = encode_state(code, PureQubitState(0.6, -0.8))
+        states = (PureQubitState(0.6, -0.8), PureQubitState(1.0, 0.0))
+        encoded = [encode_state(code, psi) for psi in states]
         rec = recovery_for("shor9")
         fast = recover_pure_state(rec, channel, encoded)
-        dense = apply_recovery(rec, apply_channel(channel, DensityMatrix.from_state(encoded)))
-        assert fast.factor.shape == (512, len(ops) - 1)
-        assert np.max(np.abs(fast.matrix - dense.matrix)) <= 1e-14
+        assert fast.factor.shape == (2, 512, len(ops) - 1)
+        for i, vec in enumerate(encoded):
+            dense = apply_recovery(rec, apply_channel(channel, DensityMatrix.from_state(vec)))
+            assert np.max(np.abs(fast.matrix[i] - dense.matrix)) <= 1e-14
+            assert np.array_equal(fast[i].matrix, fast.matrix[i])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
             recover_pure_state(
-                recovery_for("divincenzo5"), bitflip_channel([1, 0, 0, 0]), np.ones(8) / np.sqrt(8)
+                recovery_for("divincenzo5"), bitflip_channel([1, 0, 0, 0]), np.ones((1, 8)) / np.sqrt(8)
+            )
+
+    def test_rejects_a_state_that_is_not_a_stack(self):
+        with pytest.raises(ValueError, match="one vector per row"):
+            recover_pure_state(
+                recovery_for("bitflip3"), bitflip_channel([1, 0, 0, 0]), np.ones(8) / np.sqrt(8)
             )
