@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .codes import Code, PureQubitState, encode_state, get_code, standard_error_set
+from .linalg import gram
 from .recovery import (
     DensityMatrix,
     ErrorChannel,
@@ -90,7 +91,12 @@ def check_product_form(
     not thin, R = G and S = A, the dense formula itself.
 
     q and a are reorderings of the checked factor A, so they are not checked
-    again.
+    again. a is formed here, by one gemm per state (linalg.gram) rather
+    than numpy's syrk and mirror, and handed to the returned ancilla stack,
+    which the syndrome and the off-diagonal check then read; gemm gives the
+    same bits at every ancilla shape, tested byte for byte. q, R R^T and
+    S S^T keep numpy's `b @ b.T`: at some of their shapes the two routes
+    differ in the last bit.
     """
     s, d, k = rho_out.factor.shape
     if d % 2:
@@ -100,12 +106,13 @@ def check_product_form(
     g = blocks.transpose(0, 2, 1, 3).reshape(s, rest, 2 * k)
     g.setflags(write=False)
     reduced_qubit = DensityMatrix.from_checked_factor(blocks.reshape(s, 2, rest * k))
-    reduced_ancilla = DensityMatrix.from_checked_factor(g)
+    sigma = gram(g)
+    reduced_ancilla = DensityMatrix.from_checked_factor(g, sigma)
     if 2 * k < rest:
         r = np.linalg.qr(g, mode="r")
         r_gram = r @ r.transpose(0, 2, 1)
     else:
-        r, r_gram = g, reduced_ancilla.matrix
+        r, r_gram = g, sigma
     m = r.shape[1]
     stacked = r.reshape(s, m, 2, -1).transpose(0, 2, 1, 3).reshape(s, 2 * m, -1)
     diff = stacked @ stacked.transpose(0, 2, 1)

@@ -112,7 +112,7 @@ def orthogonality_deviation(m: np.ndarray) -> float:
     unit = (np.count_nonzero(m, axis=1) == 1) & (m.max(axis=1) == 1.0)
     cols = m.argmax(axis=1)[unit]
     rest = m[~unit]
-    gram = np.abs(rest @ rest.T - np.eye(rest.shape[0]))
+    dev = np.abs(rest @ rest.T - np.eye(rest.shape[0]))
     # Two unit rows share a column iff the unit rows hit fewer columns than
     # there are unit rows. A scatter, not np.unique or np.sort, whose first
     # calls in a process cost more time or memory than this whole check.
@@ -120,7 +120,28 @@ def orthogonality_deviation(m: np.ndarray) -> float:
     hit[cols] = True
     shared = 1.0 if np.count_nonzero(hit) < cols.size else 0.0
     # np.max, unlike the builtin, lets a NaN through whatever its position.
-    return float(np.max([gram.max(initial=0.0), np.abs(rest[:, cols]).max(initial=0.0), shared]))
+    return float(np.max([dev.max(initial=0.0), np.abs(rest[:, cols]).max(initial=0.0), shared]))
+
+
+def gram(b: np.ndarray) -> np.ndarray:
+    """b @ b^T for a matrix b, or for each matrix of a stack, by one gemm.
+
+    For `b @ b.T` on one buffer numpy calls syrk, which fills one triangle,
+    and then mirrors it with a scalar loop: for a 256 x 2 b that route took
+    about 160 us, gemm about 27 us (one OpenBLAS thread). A copy of the
+    transpose is a second buffer, so numpy calls gemm. np.ascontiguousarray
+    would not do: the transpose of a Fortran-ordered b is already
+    C-contiguous, so it returns the same buffer and numpy still calls syrk.
+
+    The two routes give the same bits only at some shapes. On OpenBLAS
+    0.3.31 they agreed on every ancilla Gram shape of the three codes (4,
+    16 or 256 rows, up to 8, 32 or 56 columns), and differed on random data
+    at 2 x 64, at square shapes such as 12 x 12 and 14 x 14, and at 12 x 3
+    and 28 x 7. So analysis.check_product_form forms only the ancilla Gram
+    here, and tests/test_analysis_properties.py checks each product this
+    function forms there against `b @ b.T` byte for byte.
+    """
+    return b @ np.swapaxes(b, -1, -2).copy()
 
 
 def format_matrix(m: np.ndarray) -> str:

@@ -41,7 +41,9 @@ class DensityMatrix:
     """Real symmetric, trace-1, positive semidefinite matrix B @ B.T, held as
     its real factor B (from_factor); or a stack of them, one per state along
     a leading axis, where rho[i] is state i. The read-only matrix is formed
-    on first use, so code that works on the factor alone never builds it.
+    on first use, so code that works on the factor alone never builds it,
+    unless the caller that wraps the factor has formed it already and hands
+    it over (from_checked_factor).
     """
 
     factor: np.ndarray
@@ -62,10 +64,10 @@ class DensityMatrix:
     def __getitem__(self, i: int) -> "DensityMatrix":
         """State i of a stack: views of the stack's factor and, once formed,
         of its matrix."""
-        rho = DensityMatrix.from_checked_factor(self.factor[i])
-        if "matrix" in vars(self):
-            object.__setattr__(rho, "matrix", self.matrix[i])
-        return rho
+        formed = vars(self).get("matrix")
+        return DensityMatrix.from_checked_factor(
+            self.factor[i], None if formed is None else formed[i]
+        )
 
     @classmethod
     def from_factor(cls, factor: np.ndarray) -> "DensityMatrix":
@@ -92,11 +94,18 @@ class DensityMatrix:
         return cls.from_checked_factor(b)
 
     @classmethod
-    def from_checked_factor(cls, factor: np.ndarray) -> "DensityMatrix":
+    def from_checked_factor(
+        cls, factor: np.ndarray, matrix: np.ndarray | None = None
+    ) -> "DensityMatrix":
         """Wrap a factor taken apart from one that from_factor checked (a
-        view or a reordering of its entries), without checking it again."""
+        view or a reordering of its entries), without checking it again.
+        A caller that has formed factor @ factor^T already passes it as
+        `matrix`, which is then not formed again."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "factor", factor)
+        if matrix is not None:
+            matrix.setflags(write=False)
+            object.__setattr__(rho, "matrix", matrix)
         return rho
 
 

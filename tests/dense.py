@@ -121,6 +121,22 @@ def apply_recovery(rec: RecoveryMatrix, rho_err: DensityMatrix) -> DensityMatrix
     return DensityMatrix(r @ rho_err.matrix @ r.T)
 
 
+def recover_block(
+    rec: RecoveryMatrix, channel: ErrorChannel, x: np.ndarray
+) -> recovery.DensityMatrix:
+    """R (sum_i p_i W_i X X^T W_i^T) R^T for a d x c block X, as a stack of
+    one in factor form: R [sqrt(p_i) W_i X], c columns per term with
+    p_i > 0, each W_i by its perm and signs. X X^T is a mixed input or an
+    encoded input with an ancilla state."""
+    cols = []
+    for p, op in channel.terms:
+        if p > 0:
+            shifted = np.empty_like(x)
+            shifted[op.perm] = op.signs[:, None] * x
+            cols.append(np.sqrt(p) * shifted)
+    return recovery.DensityMatrix.from_factor((rec.matrix @ np.hstack(cols))[None])
+
+
 def recovered_terms(
     rec: RecoveryMatrix, ops: Sequence[ErrorOperator], code: Code
 ) -> np.ndarray:

@@ -27,6 +27,7 @@ from uqec.codes import (
     CODE_NAMES,
     PureQubitState,
     encode_state,
+    encoding_unitary,
     error_operator,
     get_code,
     standard_error_set,
@@ -39,6 +40,7 @@ from dense import (
     QubitSplit,
     check_product_form_dense,
     partial_trace,
+    recover_block,
     recovered_terms,
     verify_permutation_factorization_3qubit,
 )
@@ -221,6 +223,39 @@ class TestRunExperiment:
         ch = channel_for("bitflip3", [0.5, 0.3, 0.1, 0.1])
         with pytest.raises(ValueError, match="dimension"):
             run_experiment("divincenzo5", ch, PureQubitState(1.0, 0.0))
+
+
+class TestScopeOfTheClaim:
+    """The claim is checked for the ancilla state sigma = |0...0> and any
+    rho_0. The input rho_0 (x) sigma is encoded by encoding_unitary U, the
+    channel applied and R, and the result tested for product form, all in
+    factor form: rho_0 (x) sigma = (F (x) S)(F (x) S)^T. With sigma = |0...0>
+    it is exact; with another sigma it is not, because R W_i U is not
+    I (x) B_i on U's completion columns."""
+
+    @staticmethod
+    def recover(name, f, s, probs):
+        x = encoding_unitary(get_code(name)) @ np.kron(f, s)
+        rho = recover_block(recovery_for(name), channel_for(name, probs), x)
+        qubit, _, (residual,) = check_product_form(rho)
+        return qubit.matrix[0], residual
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_exact_for_the_all_zero_ancilla_only(self, name):
+        rest = get_code(name).dim // 2
+        rng = np.random.default_rng(20110103)
+        f = rng.standard_normal((2, 2))
+        f /= np.linalg.norm(f)
+        probs = rng.dirichlet(np.ones(len(standard_error_set(get_code(name)))))
+        zero = basis_vector(rest, 0)[:, None]
+        qubit, residual = self.recover(name, f, zero, probs)
+        assert residual <= 1e-14
+        assert np.max(np.abs(qubit - f @ f.T)) <= 1e-14
+        # A random rank-3 ancilla state: no longer a product.
+        mixed = rng.standard_normal((rest, 3))
+        mixed /= np.linalg.norm(mixed)
+        _, residual = self.recover(name, f, mixed, probs)
+        assert residual > 0.01
 
 
 class TestGrids:

@@ -6,8 +6,22 @@
   bit, that a pass of that state alone gives, on every code, for channels
   with any number of nonzero terms. BLAS results can depend on the shapes
   multiplied, and the verify grid itself has shor9 channels of 1 and 28
-  terms only.
+  terms only;
+- every Gram product that check_product_form forms with linalg.gram (one
+  gemm: the ancilla Gram) is byte for byte numpy's `b @ b.T` (syrk), the
+  route it replaced, and exactly symmetric, and each residual is the one
+  that syrk Grams give. gemm and syrk agree only at some shapes, so on a
+  BLAS where they part at these, this fails;
+- a mixed input rho_0 = F F^T, pushed through the factor path with two
+  columns per channel term, recovers as the dense pipeline does;
+- malformed command lines end with exit 0, 1 or 2, never a traceback, and
+  exit 2 prints exactly one `error:` line.
 """
+
+import contextlib
+import io
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +29,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from uqec.analysis import DEFAULT_TOL, _term_counts, run_experiments
+from uqec import analysis
+from uqec.analysis import DEFAULT_TOL, _term_counts, check_product_form, run_experiments
+from uqec.cli import main
 from uqec.codes import CODE_NAMES, PureQubitState, get_code, standard_error_set
-from uqec.recovery import ErrorChannel
+from uqec.linalg import gram
+from uqec.recovery import ErrorChannel, recovery_for
 
+import dense
 from oracles import choice_counts
 
 
@@ -76,3 +94,195 @@ def test_stacked_pass_matches_one_state_passes(case):
     for psi, report in zip(states, stacked):
         (alone,) = run_experiments(name, channel, [psi], tol)
         assert report_bytes(report) == report_bytes(alone)
+
+
+def _gram_syrk(b):
+    """numpy's own route for b @ b^T: one buffer on both sides, so syrk."""
+    return b @ np.swapaxes(b, -1, -2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(partial_channels())
+def test_gram_products_are_those_of_numpys_syrk_route(case):
+    name, channel, states, tol = case
+    formed = []
+
+    def recording_gram(b):
+        out = gram(b)
+        formed.append((b, out.copy()))
+        return out
+
+    with mock.patch.object(analysis, "gram", recording_gram):
+        reports = run_experiments(name, channel, states, tol)
+    # One gemm per pass, the ancilla Gram, and it is syrk's bit for bit.
+    assert len(formed) == 1
+    for b, out in formed:
+        assert out.tobytes() == _gram_syrk(b).tobytes()
+    rest = get_code(name).dim // 2
+    for report in reports:
+        qubit = report.factorization.reduced_qubit
+        ancilla = report.factorization.reduced_ancilla
+        sigma = ancilla.matrix
+        assert qubit.matrix.tobytes() == _gram_syrk(qubit.factor).tobytes()
+        assert sigma.tobytes() == _gram_syrk(ancilla.factor).tobytes()
+        # from_factor skips the eigenvalue test because B B^T is exactly
+        # symmetric; with gemm that must still hold bit for bit.
+        assert sigma.tobytes() == np.ascontiguousarray(sigma.T).tobytes()
+        # The residual from R_G R_G^T and S S^T by syrk, as before the gemm.
+        g = ancilla.factor
+        r = np.linalg.qr(g, mode="r") if g.shape[1] < rest else g
+        m = r.shape[0]
+        s = r.reshape(m, 2, -1).transpose(1, 0, 2).reshape(2 * m, -1)
+        diff = _gram_syrk(s) - np.kron(qubit.matrix, _gram_syrk(r))
+        assert report.residual == math.sqrt(diff.ravel().dot(diff.ravel()))
+
+
+@st.composite
+def mixed_inputs(draw, name):
+    """A channel on 1 to all of the code's operators and a real mixed
+    single-qubit state rho_0 = F F^T of trace 1, as its 2 x 2 factor F."""
+    ops = standard_error_set(get_code(name))
+    k = len(ops)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.choice(k, size=draw(st.integers(1, k)), replace=False)
+    probs = np.zeros(k)
+    probs[support] = rng.dirichlet(np.ones(len(support)))
+    f = rng.standard_normal((2, 2))
+    return ErrorChannel.from_probs(ops, probs / probs.sum()), f / np.linalg.norm(f)
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_mixed_input_matches_dense_oracle(name, data):
+    channel, f = data.draw(mixed_inputs(name))
+    code = get_code(name)
+    rec = recovery_for(name)
+    logical_f = np.column_stack([code.logical0, code.logical1]) @ f
+    qubit, ancilla, (residual,) = check_product_form(dense.recover_block(rec, channel, logical_f))
+
+    rho_in = logical_f @ logical_f.T
+    rho_err = sum(p * dense.conjugate(op, rho_in) for p, op in channel.terms if p > 0)
+    rho_out = rec.matrix @ rho_err @ rec.matrix.T
+    split = dense.QubitSplit(2, code.dim // 2)
+    want_q = dense.partial_trace(rho_out, split, keep="first")
+    want_a = dense.partial_trace(rho_out, split, keep="rest")
+    want_residual = dense.frobenius_distance(rho_out, np.kron(want_q, want_a))
+    assert np.max(np.abs(qubit.matrix[0] - want_q)) <= 1e-14
+    assert np.max(np.abs(ancilla.matrix[0] - want_a)) <= 1e-14
+    assert abs(residual - want_residual) <= 1e-14
+    # The claim itself: the data qubit is rho_0 and the state a product.
+    assert np.max(np.abs(qubit.matrix[0] - f @ f.T)) <= 1e-14
+    assert residual <= 1e-14
+
+
+# Values that break a command line: bad numbers, bad paths, bad channels.
+_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1", "0.6", "1e400", "-1e-400", "abc", "",
+            "1_0", "0x10", "99999999999999999999999", "٣"]
+_PROBS = [",", "", "1,0,0,0", "0.7,0.1,0.1,0.1", "nan,1,0,0", "1e308,1e308,0,0",
+          "0.5,0.5", "1;0;0;0", "-1,2,0,0", "1,0,0,0,0", "1," + "0," * 26 + "0"]
+_CODES = ["bitflip3", "divincenzo5", "shor9", "all", "nosuch", ""]
+_CHANNEL_FILES = {
+    "unknown_label": "Q 1\n",
+    "nan": "I nan\n",
+    "duplicate": "X_1 0.5\nX_1 0.5\n",
+    "no_probability": "I\n",
+    "three_fields": "I 1 2\n",
+    "empty": "",
+    "bad_sum": "I 0.5\nX_1 0.4\n",
+    "valid": "I 0.7\nX_1 0.3\n",
+}
+# The options each command takes, and what a value of each is drawn from.
+_OPTIONS = {
+    "verify": ("--code", "--tol", "--seed", "--output", "--format"),
+    "demo": ("--code", "--tol", "--output", "--format", "--channel-file", "--probs",
+             "--alpha", "--beta"),
+    "kl-check": ("--code", "--output", "--format"),
+    "dump": ("--code", "--output"),
+    "trajectory": ("--code", "--tol", "--seed", "--output", "--format", "--channel-file",
+                   "--probs", "--alpha", "--beta", "--samples"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Files and directories for --output and --channel-file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for key, text in _CHANNEL_FILES.items():
+        paths[key] = root / f"{key}.txt"
+        paths[key].write_text(text)
+    paths["not_utf8"] = root / "not_utf8.txt"
+    paths["not_utf8"].write_bytes(b"I \xff\xfe 1\n")
+    paths["directory"] = root / "a_directory"
+    paths["directory"].mkdir()
+    paths["missing"] = root / "missing" / "file.txt"
+    paths["out"] = root / "out.txt"
+    paths["dump"] = root / "dump"
+    return {key: str(path) for key, path in paths.items()}
+
+
+def _value(draw, paths, command, option):
+    """A value for one option, well formed or not."""
+    if option == "--code":
+        # The shor9 grid and the shor9 dump take seconds; the others do not.
+        big = command in ("verify", "dump")
+        return draw(st.sampled_from([c for c in _CODES if not (big and c in ("shor9", "all"))]))
+    if option in ("--tol", "--alpha", "--beta"):
+        return draw(st.sampled_from(_NUMBERS))
+    if option in ("--seed", "--samples"):
+        return draw(st.sampled_from(["-1", "0", "1", "50", "abc", "1.5", "",
+                                     str(2**53 + 1), "9" * 23]))
+    if option == "--probs":
+        return draw(st.sampled_from(_PROBS))
+    if option == "--channel-file":
+        return paths[draw(st.sampled_from(sorted(set(paths) - {"out", "dump"})))]
+    if option == "--output":
+        return paths[draw(st.sampled_from(["out", "directory", "missing", "valid"]))]
+    return draw(st.sampled_from(["json", "csv", "table", "xml", ""]))
+
+
+# A well-formed start for each command, which drawn options then override
+# (argparse keeps the last value). verify's default code is "all" and
+# dump's default output the working directory, so both are set here; the
+# divincenzo5 grid is the fastest.
+_STARTS = {
+    "verify": ["--code", "divincenzo5"],
+    "demo": ["--code", "bitflip3", "--alpha", "0.6", "--beta", "0.8"],
+    "kl-check": ["--code", "bitflip3"],
+    "dump": ["--code", "bitflip3", "--output", "{dump}"],
+    "trajectory": ["--code", "bitflip3", "--samples", "1000"],
+}
+
+
+@st.composite
+def command_lines(draw, paths):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command] + [a.format(**paths) for a in _STARTS[command]]
+    if command in ("demo", "trajectory"):
+        source = draw(st.sampled_from(["--probs", "--channel-file"]))
+        argv += [source, _value(draw, paths, command, source)]
+    for option in draw(st.lists(st.sampled_from(_OPTIONS[command]), max_size=3)):
+        argv += [option, _value(draw, paths, command, option)]
+    return argv + draw(st.sampled_from([[], [], [], [], ["--nosuch"], ["stray"]]))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_malformed_command_lines_end_in_one_error_line(fuzz_paths, data):
+    argv = data.draw(command_lines(fuzz_paths))
+    code, err = _run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
