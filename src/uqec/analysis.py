@@ -91,12 +91,9 @@ def check_product_form(
     not thin, R = G and S = A, the dense formula itself.
 
     q and a are reorderings of the checked factor A, so they are not checked
-    again. a is formed here, by one gemm per state (linalg.gram) rather
-    than numpy's syrk and mirror, and handed to the returned ancilla stack,
-    which the syndrome and the off-diagonal check then read; gemm gives the
-    same bits at every ancilla shape, tested byte for byte. q, R R^T and
-    S S^T keep numpy's `b @ b.T`: at some of their shapes the two routes
-    differ in the last bit.
+    again. a is formed here by linalg.gram and handed to the returned
+    ancilla stack, which the syndrome and the off-diagonal check read; q,
+    R R^T and S S^T keep numpy's `b @ b.T` (README, "Gram products").
     """
     s, d, k = rho_out.factor.shape
     if d % 2:
@@ -367,7 +364,7 @@ def trajectory_statistics(
     worst = 0.0
     frequencies_ok = True
     for i, (p, op) in enumerate(channel.terms):
-        recovered = rec.matrix @ op.apply(encoded)
+        recovered = rec.apply(op.apply(encoded))
         c = rec.class_map[op.label]
         target = np.zeros(rec.dim)
         target[c] = psi.alpha

@@ -41,22 +41,10 @@ def gram_schmidt_extend(
     nonzero entry, which makes the completion deterministic.
 
     The support is the set of indices where `accepted` or a row kept so far
-    is nonzero. Two kinds of candidate skip the projections, and the rows
-    are the same, bit for bit, as those of the plain loop, which every other
-    candidate still runs against the same rows in the same order:
-
-    - e_i with i outside the support is kept as it is. Each inner product
-      with e_i is a sum of signed zeros (the rows are finite: `accepted` is
-      checked, and the loop never keeps a non-finite row), and subtracting a
-      signed zero leaves +0.0 and 1.0 unchanged, so the norm is exactly 1
-      and the lead is positive.
-    - e_i with i inside the support is dropped once there are as many rows
-      as support indices. Orthonormal rows that many span every e_j on the
-      support, so the residual after the two passes is of order eps**2,
-      far below GS_SKIP_TOL, and the loop would drop it too.
-
-    A projected e_i never widens the support: i is in it, and outside it
-    the rows subtracted are zero, which leaves +0.0 there.
+    is nonzero. A candidate e_i outside it is kept as it is, and one inside
+    it is dropped once there are as many rows as support indices; either way
+    the rows are those of the plain projecting loop, bit for bit (README,
+    "Cold build", gives the argument).
     """
     accepted = np.asarray(accepted, dtype=float)
     if not np.isfinite(accepted).all():
@@ -99,18 +87,20 @@ def gram_schmidt_extend(
     return buf[k:]
 
 
-def orthogonality_deviation(m: np.ndarray) -> float:
-    """max |m m^T - I|, computed on the structure of m.
+def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of m's unit rows e_i (one nonzero entry, equal to 1.0; a NaN
+    row is none) and the column of each row's largest entry, i for e_i."""
+    return (np.count_nonzero(m, axis=1) == 1) & (m.max(axis=1) == 1.0), m.argmax(axis=1)
 
-    A unit row e_i (one nonzero entry, equal to 1.0) has norm exactly 1 and
-    inner product exactly m[r, i] with every other row r, and two unit rows
-    have inner product 1 when they share i and 0 otherwise. So only the
-    rows that are not unit rows need a Gram product; the rest of the
-    deviation is read off m. A NaN entry makes the result NaN.
+
+def orthogonality_deviation(m: np.ndarray, split: tuple | None = None) -> float:
+    """max |m m^T - I|, with a Gram product of the rows that are not unit
+    rows alone: the unit rows' part is read off m (README, "Cold build"). A
+    NaN entry makes the result NaN. `split` is unit_rows(m), if known.
     """
     m = np.asarray(m, dtype=float)
-    unit = (np.count_nonzero(m, axis=1) == 1) & (m.max(axis=1) == 1.0)
-    cols = m.argmax(axis=1)[unit]
+    unit, top = unit_rows(m) if split is None else split
+    cols = top[unit]
     rest = m[~unit]
     dev = np.abs(rest @ rest.T - np.eye(rest.shape[0]))
     # Two unit rows share a column iff the unit rows hit fewer columns than
@@ -124,22 +114,10 @@ def orthogonality_deviation(m: np.ndarray) -> float:
 
 
 def gram(b: np.ndarray) -> np.ndarray:
-    """b @ b^T for a matrix b, or for each matrix of a stack, by one gemm.
-
-    For `b @ b.T` on one buffer numpy calls syrk, which fills one triangle,
-    and then mirrors it with a scalar loop: for a 256 x 2 b that route took
-    about 160 us, gemm about 27 us (one OpenBLAS thread). A copy of the
-    transpose is a second buffer, so numpy calls gemm. np.ascontiguousarray
-    would not do: the transpose of a Fortran-ordered b is already
-    C-contiguous, so it returns the same buffer and numpy still calls syrk.
-
-    The two routes give the same bits only at some shapes. On OpenBLAS
-    0.3.31 they agreed on every ancilla Gram shape of the three codes (4,
-    16 or 256 rows, up to 8, 32 or 56 columns), and differed on random data
-    at 2 x 64, at square shapes such as 12 x 12 and 14 x 14, and at 12 x 3
-    and 28 x 7. So analysis.check_product_form forms only the ancilla Gram
-    here, and tests/test_analysis_properties.py checks each product this
-    function forms there against `b @ b.T` byte for byte.
+    """b @ b^T for a matrix b, or for each matrix of a stack, by one gemm:
+    the copy of the transpose is a second buffer, so numpy calls gemm rather
+    than syrk and its scalar mirror loop. The two routes give the same bits
+    only at some shapes (README, "Gram products").
     """
     return b @ np.swapaxes(b, -1, -2).copy()
 

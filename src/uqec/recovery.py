@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import Code, ErrorOperator, get_code, standard_error_set
-from .linalg import ORTHONORMAL_TOL, gram_schmidt_extend, orthogonality_deviation
+from .linalg import ORTHONORMAL_TOL, gram_schmidt_extend, orthogonality_deviation, unit_rows
 
 # Operators whose shifted codewords differ by less than this act identically
 # on the code space and share an error class.
@@ -305,16 +305,40 @@ class RecoveryMatrix:
     class_map: dict[str, int]
     # max |R R^T - I|, set on construction.
     orthogonality_deviation: float = field(init=False)
+    # The row of v each unit row copies (argmax), R's dense rows and a copy.
+    _split: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
-        dev = orthogonality_deviation(m)
+        unit, top = unit_rows(m)
+        dev = orthogonality_deviation(m, (unit, top))
         # Written so that a NaN deviation fails it.
         if not dev <= ORTHONORMAL_TOL:
             raise ValueError(f"recovery matrix is not orthogonal (deviation {dev:.3e})")
         m.setflags(write=False)
+        dense = np.flatnonzero(~unit)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "orthogonality_deviation", dev)
+        object.__setattr__(self, "_split", (top, dense, m[dense]))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """R @ v, bit for bit, for v of shape (d,), (d, k) or (s, d, k), from
+        R's dense rows alone (README, "Dense rows of R"). A unit row e_i
+        gives v[i] + 0.0: gemm's sum starts at +0.0, so -0.0 comes out +0.0."""
+        top, dense, block = self._split
+        w = v[:, None] if v.ndim == 1 else v
+        d, k = self.dim, w.shape[-1]
+        # With no unit rows nothing is skipped; with no dense rows (bitflip3's
+        # 8 x 8) the product costs less than a gather. OpenBLAS's dgemm takes
+        # its small-matrix kernel, whose last bits differ, when M N K <= 1e6:
+        # where the dense block and R fall on either side of that line, only
+        # the full product keeps R's bits.
+        if not 0 < dense.size < d or (dense.size * d * k <= 10**6) != (d * d * k <= 10**6):
+            return self.matrix @ v
+        out = np.take(w, top, axis=-2)
+        out += 0.0
+        out[..., dense, :] = block @ w
+        return out.reshape(v.shape)
 
     @property
     def dim(self) -> int:
@@ -419,8 +443,9 @@ def recover_pure_state(
     corrupted state nor R rho R^T is formed densely.
 
     The states share the channel, so V is one s x d x k scatter and A one
-    stacked product, which numpy computes with the same BLAS call per state
-    as for a state alone. The stack is checked once, here.
+    stacked product (RecoveryMatrix.apply), which numpy computes with the
+    same BLAS call per state as for a state alone. The stack is checked
+    once, here.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
@@ -438,4 +463,4 @@ def recover_pure_state(
     # to row perm_j[r] with sign signs_j[r] (ErrorOperator.apply).
     v = np.empty((len(states), recovery.dim, len(terms)))
     v[:, perms, np.arange(len(terms))[:, None]] = signs * states[:, None, :] * roots[:, None]
-    return DensityMatrix.from_factor(recovery.matrix @ v)
+    return DensityMatrix.from_factor(recovery.apply(v))

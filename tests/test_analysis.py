@@ -434,7 +434,11 @@ class TestFactorPathMatchesDenseOracle:
         worst = worst_conventional = 0.0
         for probs in grid:
             channel = ErrorChannel.from_probs(ops, probs)
-            logical = np.tensordot(probs, terms, axes=1)
+            # Only the span of the terms with p > 0, as a view: a vertex
+            # channel has one term. Zero terms would add exact zeros.
+            nonzero = np.flatnonzero(probs)
+            span = slice(nonzero[0], nonzero[-1] + 1)
+            logical = np.tensordot(probs[span], terms[span], axes=1)
             reports = run_experiments(code, channel, INPUT_STATES)
             encoded = [encode_state(code, psi) for psi in INPUT_STATES]
             recovered = recover_pure_state(rec, channel, encoded).matrix

@@ -7,6 +7,13 @@
   with any number of nonzero terms. BLAS results can depend on the shapes
   multiplied, and the verify grid itself has shor9 channels of 1 and 28
   terms only;
+- R @ V, which recover_pure_state and trajectory_statistics take from R's
+  dense rows alone (RecoveryMatrix.apply), is byte for byte the full
+  product `rec.matrix @ V` at every term count of every code, for stacks of
+  1 and 5 states and for single vectors, and a -0.0 of V comes out +0.0
+  through a unit row, as gemm makes it. BLAS bits depend on the shapes
+  multiplied, so on a BLAS where the dense block's product parts from the
+  full one at some term count, this fails;
 - every Gram product that check_product_form forms with linalg.gram (one
   gemm: the ancilla Gram) is byte for byte numpy's `b @ b.T` (syrk), the
   route it replaced, and exactly symmetric, and each residual is the one
@@ -32,9 +39,9 @@ from hypothesis import given, settings, strategies as st
 from uqec import analysis
 from uqec.analysis import DEFAULT_TOL, _term_counts, check_product_form, run_experiments
 from uqec.cli import main
-from uqec.codes import CODE_NAMES, PureQubitState, get_code, standard_error_set
+from uqec.codes import CODE_NAMES, PureQubitState, encode_state, get_code, standard_error_set
 from uqec.linalg import gram
-from uqec.recovery import ErrorChannel, recovery_for
+from uqec.recovery import ErrorChannel, recover_pure_state, recovery_for
 
 import dense
 from oracles import choice_counts
@@ -94,6 +101,53 @@ def test_stacked_pass_matches_one_state_passes(case):
     for psi, report in zip(states, stacked):
         (alone,) = run_experiments(name, channel, [psi], tol)
         assert report_bytes(report) == report_bytes(alone)
+
+
+def assert_full_r_product(name, channel, states):
+    """The factor A = R V of a stacked pass is, state by state, the product
+    of the whole R that tests/dense.py forms, and RecoveryMatrix.apply of
+    each vector W_i psi of the first state, as trajectory_statistics takes
+    it, is `rec.matrix @ W_i psi`, byte for byte."""
+    code = get_code(name)
+    rec = recovery_for(name)
+    encoded = np.array([encode_state(code, psi) for psi in states])
+    factor = recover_pure_state(rec, channel, encoded).factor
+    for a, x in zip(factor, encoded):
+        assert a.tobytes() == dense.recover_block(rec, channel, x[:, None]).factor[0].tobytes()
+    for p, op in channel.terms:
+        if p > 0:
+            w = op.apply(encoded[0])
+            assert rec.apply(w).tobytes() == (rec.matrix @ w).tobytes()
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_dense_row_product_is_the_full_product_at_every_term_count(name):
+    ops = standard_error_set(get_code(name))
+    rng = np.random.default_rng(16)
+    for k in range(1, len(ops) + 1):
+        for s in (1, 5):
+            probs = np.zeros(len(ops))
+            probs[rng.choice(len(ops), size=k, replace=False)] = rng.dirichlet(np.ones(k))
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=s)
+            states = [PureQubitState(float(np.cos(t)), float(np.sin(t))) for t in angles]
+            assert_full_r_product(name, ErrorChannel.from_probs(ops, probs / probs.sum()), states)
+
+
+@settings(max_examples=30, deadline=None)
+@given(partial_channels())
+def test_dense_row_product_is_the_full_product(case):
+    name, channel, states, _ = case
+    assert_full_r_product(name, channel, states)
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+@pytest.mark.parametrize("shape", [("d",), ("d", 3), (2, "d", 3), (5, "d", 28)])
+def test_negative_zero_through_a_unit_row_comes_out_positive(name, shape):
+    rec = recovery_for(name)
+    v = np.full([rec.dim if n == "d" else n for n in shape], -0.0)
+    out = rec.apply(v)
+    assert out.tobytes() == (rec.matrix @ v).tobytes()
+    assert not np.signbit(out).any()
 
 
 def _gram_syrk(b):
