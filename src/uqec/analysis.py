@@ -32,13 +32,7 @@ import numpy as np
 
 from .codes import Code, PureQubitState, encode_state, get_code, standard_error_set
 from .linalg import gram
-from .recovery import (
-    DensityMatrix,
-    ErrorChannel,
-    RecoveryMatrix,
-    recover_pure_state,
-    recovery_for,
-)
+from .recovery import ErrorChannel, RecoveryMatrix, recover_pure_state, recovery_for
 
 DEFAULT_TOL = 1e-10
 
@@ -63,6 +57,14 @@ INPUT_STATES = (
 
 
 @dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """One state's density matrix, as a read-only view into the stack that
+    check_product_form returns."""
+
+    matrix: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class FactorizationResult:
     """Both partial traces of one recovered state and its product-form
     residual."""
@@ -72,12 +74,12 @@ class FactorizationResult:
     residual: float
 
 
-def check_product_form(
-    rho_out: DensityMatrix,
-) -> tuple[DensityMatrix, DensityMatrix, list[float]]:
-    """Compare each state of the stack rho_out against the product q (x) a of
-    its own partial traces, q that of the first qubit and a that of the rest
-    (the ancilla). Returns the stacks of q and a and each state's residual.
+def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Compare each state A[s] A[s]^T of the factor stack `a` (as
+    recover_pure_state returns it) against the product q (x) sigma of its own
+    partial traces, q that of the first qubit and sigma that of the rest (the
+    ancilla). Returns the read-only stacks of q and sigma and each state's
+    residual.
 
     The factor A of rho_out = A A^T splits into the row blocks A_0, A_1 of
     the first qubit, and each partial trace is a Gram product: q from
@@ -90,21 +92,20 @@ def check_product_form(
     still formed entry by entry, so no cancellation floor appears. When G is
     not thin, R = G and S = A, the dense formula itself.
 
-    q and a are reorderings of the checked factor A, so they are not checked
-    again. a is formed here by linalg.gram and handed to the returned
-    ancilla stack, which the syndrome and the off-diagonal check read; q,
-    R R^T and S S^T keep numpy's `b @ b.T` (README, "Gram products").
+    q and sigma are Gram products of reorderings of A, which
+    recover_pure_state checked, so they are not checked again. sigma is
+    formed by linalg.gram; q, R R^T and S S^T keep numpy's `b @ b.T`
+    (README, "Gram products").
     """
-    s, d, k = rho_out.factor.shape
+    s, d, k = a.shape
     if d % 2:
         raise ValueError(f"state dimension {d} is odd: no first qubit to split off")
     rest = d // 2
-    blocks = rho_out.factor.reshape(s, 2, rest, k)
+    blocks = a.reshape(s, 2, rest, k)
     g = blocks.transpose(0, 2, 1, 3).reshape(s, rest, 2 * k)
-    g.setflags(write=False)
-    reduced_qubit = DensityMatrix.from_checked_factor(blocks.reshape(s, 2, rest * k))
+    b = blocks.reshape(s, 2, rest * k)
+    q = b @ np.swapaxes(b, -1, -2)
     sigma = gram(g)
-    reduced_ancilla = DensityMatrix.from_checked_factor(g, sigma)
     if 2 * k < rest:
         r = np.linalg.qr(g, mode="r")
         r_gram = r @ r.transpose(0, 2, 1)
@@ -115,24 +116,25 @@ def check_product_form(
     diff = stacked @ stacked.transpose(0, 2, 1)
     # Subtract q (x) R R^T in place: entry (a m + b, c m + e) loses
     # q[a, c] (R R^T)[b, e].
-    q = reduced_qubit.matrix
     diff.reshape(s, 2, m, 2, m)[...] -= q[:, :, None, :, None] * r_gram[:, None, :, None, :]
     # np.linalg.norm of each state's difference, whose dot stays per state.
     residuals = [math.sqrt(x.dot(x)) for x in diff.reshape(s, -1)]
-    return reduced_qubit, reduced_ancilla, residuals
+    q.setflags(write=False)
+    sigma.setflags(write=False)
+    return q, sigma, residuals
 
 
-def fidelity_pure(rho_a: DensityMatrix, states: Sequence[PureQubitState]) -> list[float]:
-    """<psi| rho |psi> for each single-qubit state of the stack rho_a against
+def fidelity_pure(q: np.ndarray, states: Sequence[PureQubitState]) -> list[float]:
+    """<psi| rho |psi> for each single-qubit state rho of the stack q against
     its pure target in `states`."""
-    if rho_a.dim != 2:
-        raise ValueError(f"expected single-qubit states, got dimension {rho_a.dim}")
+    if q.shape[-1] != 2:
+        raise ValueError(f"expected single-qubit states, got dimension {q.shape[-1]}")
     v = np.array([(psi.alpha, psi.beta) for psi in states])
-    return (v[:, None, :] @ rho_a.matrix @ v[:, :, None]).reshape(-1).tolist()
+    return (v[:, None, :] @ q @ v[:, :, None]).reshape(-1).tolist()
 
 
 def syndrome_distribution(
-    sigma_prime: DensityMatrix, class_labels: Sequence[str]
+    sigma_prime: np.ndarray, class_labels: Sequence[str]
 ) -> list[list[tuple[str, float]]]:
     """For each ancilla state of the stack sigma_prime, pair its diagonal
     with error-class labels, one per leading diagonal slot; any mass on the
@@ -140,9 +142,9 @@ def syndrome_distribution(
     mass is not read here: run_experiments weighs it against the tolerance."""
     k = len(class_labels)
     out = []
-    for diag in np.diagonal(sigma_prime.matrix, axis1=1, axis2=2):
+    for diag in np.diagonal(sigma_prime, axis1=1, axis2=2):
         pairs = list(zip(class_labels, diag[:k].tolist()))
-        if sigma_prime.dim > k:
+        if sigma_prime.shape[-1] > k:
             pairs.append(("(outside)", float(diag[k:].sum())))
         out.append(pairs)
     return out
@@ -212,11 +214,10 @@ def run_experiments(
     code = get_code(code) if isinstance(code, str) else code
     rec = recovery_for(code.name)
     _require_channel_in_error_set(channel, code, rec)
-    rho_out = recover_pure_state(rec, channel, [encode_state(code, psi) for psi in states])
-    qubits, ancillas, residuals = check_product_form(rho_out)
-    fids = fidelity_pure(qubits, states)
-    syndromes = syndrome_distribution(ancillas, rec.class_labels)
-    sigma = ancillas.matrix
+    a = recover_pure_state(rec, channel, [encode_state(code, psi) for psi in states])
+    q, sigma, residuals = check_product_form(a)
+    fids = fidelity_pure(q, states)
+    syndromes = syndrome_distribution(sigma, rec.class_labels)
     s, n = sigma.shape[:2]
     # Past the first entry of each flattened sigma, every run of n + 1
     # entries ends on a diagonal one, so this view holds exactly the
@@ -239,7 +240,9 @@ def run_experiments(
             alpha=psi.alpha,
             beta=psi.beta,
             fidelity=fids[i],
-            factorization=FactorizationResult(qubits[i], ancillas[i], residuals[i]),
+            factorization=FactorizationResult(
+                DensityMatrix(q[i]), DensityMatrix(sigma[i]), residuals[i]
+            ),
             max_offdiagonal=max_offs[i],
             syndrome=tuple(syndromes[i]),
             failed=tuple(c for c, ok in zip(CONDITIONS, met) if not ok),
@@ -316,7 +319,6 @@ class TrajectoryEntry:
     frequency: float
     bound_3sigma: float
     within_bound: bool
-    recovery_error: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +389,6 @@ def trajectory_statistics(
                 frequency=float(freq),
                 bound_3sigma=float(bound),
                 within_bound=within,
-                recovery_error=err,
             )
         )
         if counts[i] > 0:

@@ -44,10 +44,6 @@ class PureQubitState:
         if not abs(self.alpha ** 2 + self.beta ** 2 - 1.0) <= 1e-12:
             raise ValueError(f"state ({self.alpha}, {self.beta}) is not normalized")
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta])
-
 
 @dataclass(frozen=True, eq=False)
 class ErrorOperator:
@@ -107,9 +103,10 @@ class Code:
         l0, l1 = self.logical0, self.logical1
         if l0.shape != (d,) or l1.shape != (d,):
             raise ValueError(f"logical vectors must have dimension {d}")
-        if abs(l0 @ l0 - 1.0) > 1e-12 or abs(l1 @ l1 - 1.0) > 1e-12:
+        # Written so that NaN and inf entries fail them.
+        if not (abs(l0 @ l0 - 1.0) <= 1e-12 and abs(l1 @ l1 - 1.0) <= 1e-12):
             raise ValueError("logical basis vectors must be unit norm")
-        if abs(l0 @ l1) > 1e-12:
+        if not abs(l0 @ l1) <= 1e-12:
             raise ValueError("logical basis vectors must be orthogonal")
 
     @property

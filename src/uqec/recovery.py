@@ -31,83 +31,6 @@ class KLViolationError(ValueError):
     """Shifted codewords of two error classes fail orthonormality, so no
     orthogonal recovery matrix exists for this operator set."""
 
-    def __init__(self, message: str, pair: tuple[str, str], inner_product: float):
-        super().__init__(message)
-        self.pair = pair
-        self.inner_product = inner_product
-
-
-class DensityMatrix:
-    """Real symmetric, trace-1, positive semidefinite matrix B @ B.T, held as
-    its real factor B (from_factor); or a stack of them, one per state along
-    a leading axis, where rho[i] is state i. The read-only matrix is formed
-    on first use, so code that works on the factor alone never builds it,
-    unless the caller that wraps the factor has formed it already and hands
-    it over (from_checked_factor).
-    """
-
-    factor: np.ndarray
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = self.factor @ np.swapaxes(self.factor, -1, -2)
-        m.setflags(write=False)
-        return m
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[-2]
-
-    def __getitem__(self, i: int) -> "DensityMatrix":
-        """State i of a stack: views of the stack's factor and, once formed,
-        of its matrix."""
-        formed = vars(self).get("matrix")
-        return DensityMatrix.from_checked_factor(
-            self.factor[i], None if formed is None else formed[i]
-        )
-
-    @classmethod
-    def from_factor(cls, factor: np.ndarray) -> "DensityMatrix":
-        """B @ B.T for a real d x k factor B, e.g. one column per Kraus term,
-        or a stack of them for an s x d x k factor.
-
-        B @ B.T is positive semidefinite for every real B, and numpy computes
-        it exactly symmetric, so only each state's trace (the squared norm of
-        its factor) is checked: an eigenvalue test could not fail. A NaN or
-        infinite entry makes its state's trace NaN or infinite, so the same
-        test rejects it.
-        """
-        b = np.ascontiguousarray(factor, dtype=float)
-        if b.ndim not in (2, 3):
-            raise ValueError(f"factor must be 2-D or a stack of 2-D, got shape {b.shape}")
-        for state in b if b.ndim == 3 else (b,):
-            trace = float(np.vdot(state, state))
-            # Written so that a NaN or inf trace fails it.
-            if not abs(trace - 1.0) <= 1e-12:
-                if not np.isfinite(b).all():
-                    raise ValueError("factor has non-finite entries")
-                raise ValueError(f"trace is {trace!r}, expected 1")
-        b.setflags(write=False)
-        return cls.from_checked_factor(b)
-
-    @classmethod
-    def from_checked_factor(
-        cls, factor: np.ndarray, matrix: np.ndarray | None = None
-    ) -> "DensityMatrix":
-        """Wrap a factor taken apart from one that from_factor checked (a
-        view or a reordering of its entries), without checking it again.
-        A caller that has formed factor @ factor^T already passes it as
-        `matrix`, which is then not formed again."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "factor", factor)
-        if matrix is not None:
-            matrix.setflags(write=False)
-            object.__setattr__(rho, "matrix", matrix)
-        return rho
-
 
 @dataclass(frozen=True, eq=False)
 class ErrorChannel:
@@ -191,7 +114,10 @@ def read_channel_file(path: str | Path, code: Code) -> ErrorChannel:
             raise ValueError(f"{path}:{lineno}: duplicate operator {label!r}")
         seen.add(label)
         ops.append(by_label[label])
-        probs.append(float(prob_text))
+        try:
+            probs.append(float(prob_text))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
     if not ops:
         raise ValueError(f"{path}: no channel terms found")
     try:
@@ -298,7 +224,6 @@ class RecoveryMatrix:
     orthonormal completion rows.
     """
 
-    code_name: str
     matrix: np.ndarray = field(repr=False)
     row_labels: tuple[RowLabel, ...]
     classes: tuple[tuple[str, ...], ...]
@@ -348,10 +273,6 @@ class RecoveryMatrix:
     def ancilla_dim(self) -> int:
         return self.dim // 2
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
     @cached_property
     def class_labels(self) -> tuple[str, ...]:
         return tuple(_class_label(c) for c in self.classes)
@@ -370,24 +291,19 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
     shifts = _shifted_codewords(code, ops)
     groups = _group_error_classes(shifts)
     report = _kl_report(ops, shifts, groups)
-    if report.gram_deviation > ORTHONORMAL_TOL:
+    # Written so that a NaN deviation fails it. It also fails when 2k > d:
+    # the 2k x 2k Gram G then has rank at most d, so ||G - I||_2 >= 1 and
+    # max |G - I| >= 1/(2k). So the 2k labeled rows below always fit.
+    if not report.gram_deviation <= ORTHONORMAL_TOL:
         a, b = report.worst_pair
         raise KLViolationError(
             f"shifted codewords {a} and {b} are not orthonormal "
             f"(deviation {report.gram_deviation:.3e}); "
-            "this operator set is not correctable by a single orthogonal matrix",
-            pair=(a, b),
-            inner_product=report.gram_deviation,
+            "this operator set is not correctable by a single orthogonal matrix"
         )
     d = code.dim
     half = d // 2
     k = len(groups)
-    if 2 * k > d:
-        raise KLViolationError(
-            f"{k} error classes need {2 * k} orthonormal rows in dimension {d}",
-            pair=("", ""),
-            inner_product=float("nan"),
-        )
 
     rows = np.zeros((d, d))
     labels: list[RowLabel] = [RowLabel(None, "(completion)") for _ in range(d)]
@@ -405,7 +321,6 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
 
     class_map = {ops[i].label: c for c, grp in enumerate(groups) for i in grp}
     return RecoveryMatrix(
-        code_name=code.name,
         matrix=rows,
         row_labels=tuple(labels),
         classes=report.classes,
@@ -436,16 +351,22 @@ def recovery_for(code_name: str) -> RecoveryMatrix:
 
 def recover_pure_state(
     recovery: RecoveryMatrix, channel: ErrorChannel, states: np.ndarray
-) -> DensityMatrix:
+) -> np.ndarray:
     """R (sum_i p_i W_i psi psi^T W_i^T) R^T for each pure input psi, one per
-    row of `states`, as a stack in factor form: A @ A.T with A = R V and
-    V = [sqrt(p_i) W_i psi], one column per term with p_i > 0. Neither the
-    corrupted state nor R rho R^T is formed densely.
+    row of `states`, as the read-only s x d x k stack of its factors: state
+    s is A[s] @ A[s].T with A = R V and V = [sqrt(p_i) W_i psi], one column
+    per term with p_i > 0. Neither the corrupted state nor R rho R^T is
+    formed densely.
 
     The states share the channel, so V is one s x d x k scatter and A one
     stacked product (RecoveryMatrix.apply), which numpy computes with the
-    same BLAS call per state as for a state alone. The stack is checked
-    once, here.
+    same BLAS call per state as for a state alone.
+
+    The stack is checked once, here. A A^T is positive semidefinite for
+    every real A, and numpy computes it exactly symmetric, so only each
+    state's trace (the squared norm of its factor) is checked: an eigenvalue
+    test could not fail. A NaN or infinite entry makes its state's trace NaN
+    or infinite, so the same test rejects it.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
@@ -463,4 +384,13 @@ def recover_pure_state(
     # to row perm_j[r] with sign signs_j[r] (ErrorOperator.apply).
     v = np.empty((len(states), recovery.dim, len(terms)))
     v[:, perms, np.arange(len(terms))[:, None]] = signs * states[:, None, :] * roots[:, None]
-    return DensityMatrix.from_factor(recovery.apply(v))
+    a = recovery.apply(v)
+    for state in a:
+        trace = float(np.vdot(state, state))
+        # Written so that a NaN or inf trace fails it.
+        if not abs(trace - 1.0) <= 1e-12:
+            if not np.isfinite(a).all():
+                raise ValueError("factor has non-finite entries")
+            raise ValueError(f"trace is {trace!r}, expected 1")
+    a.setflags(write=False)
+    return a

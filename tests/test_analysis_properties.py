@@ -111,9 +111,9 @@ def assert_full_r_product(name, channel, states):
     code = get_code(name)
     rec = recovery_for(name)
     encoded = np.array([encode_state(code, psi) for psi in states])
-    factor = recover_pure_state(rec, channel, encoded).factor
+    factor = recover_pure_state(rec, channel, encoded)
     for a, x in zip(factor, encoded):
-        assert a.tobytes() == dense.recover_block(rec, channel, x[:, None]).factor[0].tobytes()
+        assert a.tobytes() == dense.recover_block(rec, channel, x[:, None])[0].tobytes()
     for p, op in channel.terms:
         if p > 0:
             w = op.apply(encoded[0])
@@ -172,22 +172,26 @@ def test_gram_products_are_those_of_numpys_syrk_route(case):
     assert len(formed) == 1
     for b, out in formed:
         assert out.tobytes() == _gram_syrk(b).tobytes()
-    rest = get_code(name).dim // 2
-    for report in reports:
-        qubit = report.factorization.reduced_qubit
-        ancilla = report.factorization.reduced_ancilla
-        sigma = ancilla.matrix
-        assert qubit.matrix.tobytes() == _gram_syrk(qubit.factor).tobytes()
-        assert sigma.tobytes() == _gram_syrk(ancilla.factor).tobytes()
-        # from_factor skips the eigenvalue test because B B^T is exactly
-        # symmetric; with gemm that must still hold bit for bit.
+    code = get_code(name)
+    rest = code.dim // 2
+    factors = recover_pure_state(
+        recovery_for(name), channel, [encode_state(code, psi) for psi in states]
+    )
+    for report, a in zip(reports, factors):
+        q = report.factorization.reduced_qubit.matrix
+        sigma = report.factorization.reduced_ancilla.matrix
+        # The first qubit's factor and the ancilla's, G = [A_0 A_1].
+        g = a.reshape(2, rest, -1).transpose(1, 0, 2).reshape(rest, -1)
+        assert q.tobytes() == _gram_syrk(a.reshape(2, -1)).tobytes()
+        assert sigma.tobytes() == _gram_syrk(g).tobytes()
+        # recover_pure_state skips the eigenvalue test because B B^T is
+        # exactly symmetric; with gemm that must still hold bit for bit.
         assert sigma.tobytes() == np.ascontiguousarray(sigma.T).tobytes()
         # The residual from R_G R_G^T and S S^T by syrk, as before the gemm.
-        g = ancilla.factor
         r = np.linalg.qr(g, mode="r") if g.shape[1] < rest else g
         m = r.shape[0]
         s = r.reshape(m, 2, -1).transpose(1, 0, 2).reshape(2 * m, -1)
-        diff = _gram_syrk(s) - np.kron(qubit.matrix, _gram_syrk(r))
+        diff = _gram_syrk(s) - np.kron(q, _gram_syrk(r))
         assert report.residual == math.sqrt(diff.ravel().dot(diff.ravel()))
 
 
@@ -222,11 +226,11 @@ def test_mixed_input_matches_dense_oracle(name, data):
     want_q = dense.partial_trace(rho_out, split, keep="first")
     want_a = dense.partial_trace(rho_out, split, keep="rest")
     want_residual = dense.frobenius_distance(rho_out, np.kron(want_q, want_a))
-    assert np.max(np.abs(qubit.matrix[0] - want_q)) <= 1e-14
-    assert np.max(np.abs(ancilla.matrix[0] - want_a)) <= 1e-14
+    assert np.max(np.abs(qubit[0] - want_q)) <= 1e-14
+    assert np.max(np.abs(ancilla[0] - want_a)) <= 1e-14
     assert abs(residual - want_residual) <= 1e-14
     # The claim itself: the data qubit is rho_0 and the state a product.
-    assert np.max(np.abs(qubit.matrix[0] - f @ f.T)) <= 1e-14
+    assert np.max(np.abs(qubit[0] - f @ f.T)) <= 1e-14
     assert residual <= 1e-14
 
 

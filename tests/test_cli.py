@@ -250,6 +250,14 @@ class TestMalformedInput:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_unparsable_probability_names_its_line(self, tmp_path, capsys):
+        spec = tmp_path / "channel.txt"
+        spec.write_text("I 0.5\nX_1 half\n")
+        argv = ["demo", "--code", "bitflip3", "--channel-file", str(spec),
+                "--alpha", "0.6", "--beta", "0.8"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {spec}:2: bad probability 'half'\n"
+
     @pytest.mark.parametrize("source", ["--probs", "--channel-file"])
     def test_overflowing_probabilities_warn_nothing(self, source, tmp_path, capsys):
         # A numpy RuntimeWarning would print two lines before the error.

@@ -3,6 +3,7 @@ import pytest
 
 from uqec.codes import (
     CODE_NAMES,
+    Code,
     PureQubitState,
     bitflip3,
     divincenzo5,
@@ -221,6 +222,14 @@ class TestEncodingUnitary:
             code.dim, code.dim // 2
         )
         assert np.max(np.abs(u @ data_register - encode_state(code, psi))) <= 1e-12
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_code_rejects_nan_in_a_logical_vector(which):
+    logical = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    logical[which][1 - which] = np.nan
+    with pytest.raises(ValueError, match="unit norm"):
+        Code("x", 1, *logical)
 
 
 def test_get_code_rejects_unknown_name():

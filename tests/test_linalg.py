@@ -207,7 +207,7 @@ class TestGramSchmidtSkipsOnlyExactWork:
 
     def test_shor9_recovery_completion(self):
         rec = recovery_for("shor9")
-        k, half = rec.n_classes, rec.dim // 2
+        k, half = len(rec.classes), rec.dim // 2
         pinned = np.vstack([rec.matrix[:k], rec.matrix[half : half + k]])
         count = rec.dim - 2 * k
         assert_same_bits(
@@ -221,7 +221,7 @@ class TestGramSchmidtSkipsOnlyExactWork:
         # rows fill that support, and the 21 support indices reached after
         # that are skipped. The plain loop projects all 71.
         rec = recovery_for("shor9")
-        k, half = rec.n_classes, rec.dim // 2
+        k, half = len(rec.classes), rec.dim // 2
         pinned = np.vstack([rec.matrix[:k], rec.matrix[half : half + k]])
         calls = []
         norm = np.linalg.norm

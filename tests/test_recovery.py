@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from uqec import recovery
+from uqec.analysis import check_product_form
 from uqec.codes import (
     CODE_NAMES,
+    ErrorOperator,
     PureQubitState,
     bitflip3,
     divincenzo5,
@@ -26,14 +28,17 @@ from uqec.recovery import (
     recovery_row_order,
     validate_kl,
 )
+from uqec.linalg import basis_vector
 
 from dense import (
     DensityMatrix,
+    QubitSplit,
     apply_channel,
     apply_recovery,
     block_reversal,
     conjugate,
     conventional_recovery_bitflip3,
+    partial_trace,
     permutation_matrix,
     transposition,
 )
@@ -78,68 +83,64 @@ class TestDensityMatrix:
             DensityMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+def bitflip3_factor(states):
+    """recover_pure_state on bitflip3 under a fixed channel, for input
+    vectors that need not be normalized."""
+    channel = bitflip_channel([0.5, 0.3, 0.15, 0.05])
+    return recover_pure_state(recovery_for("bitflip3"), channel, np.asarray(states, dtype=float))
+
+
 class TestFromFactor:
+    """recover_pure_state checks the factor stack it returns, once: each
+    state's trace and, through it, NaN and inf entries. The Gram products
+    that check_product_form forms from it are exactly symmetric, so no
+    eigenvalue test is needed."""
+
     @pytest.mark.parametrize("shape", [(2, 1), (8, 4), (512, 28), (256, 56), (2, 7168)])
     def test_gram_product_is_exactly_symmetric(self, shape):
         b = np.random.default_rng(shape[1]).standard_normal(shape)
         b /= np.linalg.norm(b)
-        rho = DensityMatrix.from_factor(b)
-        assert np.array_equal(rho.matrix, rho.matrix.T)
-        assert np.max(np.abs(rho.matrix - b @ b.T)) <= 1e-15
-        assert rho.factor.shape == shape
+        q, sigma, _ = check_product_form(b[None])
+        assert np.array_equal(q, np.swapaxes(q, 1, 2))
+        assert np.array_equal(sigma, np.swapaxes(sigma, 1, 2))
+        split = QubitSplit(2, shape[0] // 2)
+        assert np.max(np.abs(q[0] - partial_trace(b @ b.T, split))) <= 1e-15
+        assert np.max(np.abs(sigma[0] - partial_trace(b @ b.T, split, keep="rest"))) <= 1e-15
 
     def test_matches_validated_constructor(self):
-        b = np.array([[0.6, 0.0], [0.0, 0.8]])
-        assert np.array_equal(DensityMatrix.from_factor(b).matrix, DensityMatrix(b @ b.T).matrix)
-        assert DensityMatrix(b @ b.T).factor is None
+        # A A^T passes the dense constructor's full validation and is the
+        # dense pipeline's recovered state.
+        state = encode_state(bitflip3(), PureQubitState(0.6, 0.8))
+        (a,) = bitflip3_factor([state])
+        channel = bitflip_channel([0.5, 0.3, 0.15, 0.05])
+        dense = apply_recovery(
+            recovery_for("bitflip3"), apply_channel(channel, DensityMatrix.from_state(state))
+        )
+        assert np.max(np.abs(DensityMatrix(a @ a.T).matrix - dense.matrix)) <= 1e-15
 
     def test_read_only(self):
-        rho = DensityMatrix.from_factor(np.array([[0.6], [0.8]]))
+        a = bitflip3_factor([encode_state(bitflip3(), PureQubitState(0.6, 0.8))])
         with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            rho.factor[0, 0] = 2.0
-
-    def test_matrix_formed_on_first_use_only(self):
-        b = np.full((512, 28), 1.0 / np.sqrt(512 * 28))
-        rho = DensityMatrix.from_factor(b)
-        assert rho.dim == 512
-        assert "matrix" not in vars(rho)
-        assert rho.matrix is rho.matrix
-        assert np.array_equal(rho.matrix, b @ b.T)
-        with pytest.raises(AttributeError, match="immutable"):
-            rho.matrix = np.eye(512) / 512
+            a[0, 0, 0] = 2.0
+        q, sigma, _ = check_product_form(a)
+        for out in (q, sigma):
+            with pytest.raises(ValueError):
+                out[0, 0, 0] = 2.0
 
     def test_rejects_nan_factor(self):
+        state = np.zeros(8)
+        state[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix.from_factor(np.array([[np.nan], [1.0]]))
+            bitflip3_factor([state])
 
     def test_rejects_trace_off_one(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix.from_factor(np.array([[1.0], [1.0]]))
-
-    def test_rejects_1d_factor(self):
-        with pytest.raises(ValueError, match="2-D"):
-            DensityMatrix.from_factor(np.array([0.6, 0.8]))
+        with pytest.raises(ValueError, match="trace is 2.0"):
+            bitflip3_factor([np.sqrt(2.0) * basis_vector(8, 0)])
 
     def test_stack_checks_the_trace_of_each_state(self):
-        good = np.array([[0.6], [0.8]])
+        good = encode_state(bitflip3(), PureQubitState(0.6, 0.8))
         with pytest.raises(ValueError, match="trace is 2.0"):
-            DensityMatrix.from_factor(np.stack([good, good, 2 ** 0.5 * good]))
-
-    def test_stack_item_views_the_stack(self):
-        b = np.random.default_rng(2).standard_normal((3, 8, 4))
-        b /= np.linalg.norm(b, axis=(1, 2), keepdims=True)
-        rho = DensityMatrix.from_factor(b)
-        assert rho.dim == 8
-        unformed = rho[1]
-        assert np.shares_memory(unformed.factor, rho.factor)
-        assert "matrix" not in vars(unformed)
-        assert np.array_equal(unformed.matrix, b[1] @ b[1].T)
-        stack = rho.matrix
-        formed = rho[2]  # once the stack's matrix exists, an item views it
-        assert np.shares_memory(formed.matrix, stack)
-        assert np.array_equal(formed.matrix, rho.matrix[2])
+            bitflip3_factor([good, good, 2 ** 0.5 * good])
 
 
 class TestErrorChannel:
@@ -267,7 +268,7 @@ class TestBuildRecovery:
     def test_class_labels_are_stored_once(self):
         rec = recovery_for("shor9")
         assert rec.class_labels is rec.class_labels
-        assert len(rec.class_labels) == rec.n_classes == 22
+        assert len(rec.class_labels) == len(rec.classes) == 22
         assert rec.class_labels[-3:] == ("{Z_1,Z_2,Z_3}", "{Z_4,Z_5,Z_6}", "{Z_7,Z_8,Z_9}")
         assert [lbl.label for lbl in rec.row_labels[:22]] == list(rec.class_labels)
 
@@ -302,7 +303,6 @@ class TestBuildRecovery:
             m[3] = m[1]
         with pytest.raises(ValueError, match="not orthogonal"):
             RecoveryMatrix(
-                code_name="x",
                 matrix=m,
                 row_labels=tuple(RowLabel(None, "(completion)") for _ in range(4)),
                 classes=(),
@@ -367,8 +367,20 @@ class TestGroupOnce:
         assert worst == ("I|0>_L", "Z_1|0>_L")
         with pytest.raises(KLViolationError) as exc:
             build_recovery(code, ops)
-        assert exc.value.pair == worst
-        assert exc.value.inner_product == deviation
+        message = str(exc.value)
+        assert f"{worst[0]} and {worst[1]} are not orthonormal" in message
+        assert f"(deviation {deviation:.3e})" in message
+
+    def test_nan_signed_operator_is_a_violation(self):
+        # A NaN Gram deviation fails the check, rather than passing it and
+        # failing later in the completion.
+        code = bitflip3()
+        x1 = error_operator("X", 1, 3)
+        signs = x1.signs.copy()
+        signs[0] = np.nan
+        bad = ErrorOperator(n=3, label="X_1", perm=x1.perm, signs=signs)
+        with pytest.raises(KLViolationError, match="not orthonormal"):
+            build_recovery(code, (error_operator("I", 0, 3), bad))
 
 
 class TestApplyRecovery:
@@ -493,11 +505,10 @@ class TestRecoverPureState:
         encoded = [encode_state(code, psi) for psi in states]
         rec = recovery_for("shor9")
         fast = recover_pure_state(rec, channel, encoded)
-        assert fast.factor.shape == (2, 512, len(ops) - 1)
+        assert fast.shape == (2, 512, len(ops) - 1)
         for i, vec in enumerate(encoded):
             dense = apply_recovery(rec, apply_channel(channel, DensityMatrix.from_state(vec)))
-            assert np.max(np.abs(fast.matrix[i] - dense.matrix)) <= 1e-14
-            assert np.array_equal(fast[i].matrix, fast.matrix[i])
+            assert np.max(np.abs(fast[i] @ fast[i].T - dense.matrix)) <= 1e-14
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
