@@ -18,13 +18,15 @@ of a stack of one: numpy's stacked matmul and QR make the same BLAS or LAPACK
 call per state, with the same shapes, and the reductions numpy may order
 differently over a stack (the residual's dot, the "(outside)" sum, the
 syndrome total) stay per state.
+
+The functions here return records (RecoveryReport, TrajectoryReport); every
+output format of them is written by the command-line front end (cli).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from statistics import NormalDist
 from typing import Iterator, Sequence
 
@@ -432,42 +434,3 @@ def _sidak_z_bound(terms: int) -> float:
     rate of `terms` independent z tests at TRAJECTORY_ALPHA."""
     per_term = 1.0 - (1.0 - TRAJECTORY_ALPHA) ** (1.0 / terms)
     return NormalDist().inv_cdf(1.0 - per_term / 2.0)
-
-
-# --- report serialization ---------------------------------------------------
-
-def to_json(value: object) -> str:
-    """One-line JSON for nested dicts (keys in insertion order), lists,
-    tuples, strings, bools, ints and floats. Floats are written at 17
-    significant digits and strings as json.dumps writes them, so equal inputs
-    give byte-identical documents."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, dict):
-        items = [f"{_json_string(k)}: {to_json(v)}" for k, v in value.items()]
-        return "{" + ", ".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join([to_json(v) for v in value]) + "]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    return format(float(value), ".17g")
-
-
-def report_to_json(report: RecoveryReport) -> str:
-    """Serialize a report with fixed key order and 17-significant-digit
-    numbers, so byte-identical inputs give byte-identical documents."""
-    return to_json({
-        "code": report.code,
-        "channel": [{"label": lb, "p": p} for lb, p in report.channel],
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "fidelity": report.fidelity,
-        "residual": report.residual,
-        "syndrome": [{"label": lb, "p": p} for lb, p in report.syndrome],
-        "passed": report.passed,
-        "tolerance": report.tolerance,
-    })

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from pathlib import Path
 from typing import NoReturn
 
@@ -145,6 +146,25 @@ def _pairs(items) -> str:
     return " ".join(f"{label}={p:.6g}" for label, p in items)
 
 
+# Every JSON record below is one fixed template: strings as json.dumps writes
+# them, floats at 17 significant digits, so equal reports give equal bytes.
+def _json_bool(value) -> str:
+    return "true" if value else "false"
+
+
+def _json_pairs(items) -> str:
+    return ", ".join(f'{{"label": {_json_string(lb)}, "p": {p:.17g}}}' for lb, p in items)
+
+
+def _report_json(r: analysis.RecoveryReport) -> str:
+    return (
+        f'{{"code": {_json_string(r.code)}, "channel": [{_json_pairs(r.channel)}], '
+        f'"alpha": {r.alpha:.17g}, "beta": {r.beta:.17g}, "fidelity": {r.fidelity:.17g}, '
+        f'"residual": {r.residual:.17g}, "syndrome": [{_json_pairs(r.syndrome)}], '
+        f'"passed": {_json_bool(r.passed)}, "tolerance": {r.tolerance:.17g}}}'
+    )
+
+
 def _report_table_line(r: analysis.RecoveryReport) -> str:
     status = "PASS" if r.passed else "FAIL"
     return (
@@ -154,30 +174,24 @@ def _report_table_line(r: analysis.RecoveryReport) -> str:
     )
 
 
-def _csv_line(fields: list) -> str:
+def _report_csv_row(r: analysis.RecoveryReport) -> list:
+    return [
+        r.code, f"{r.alpha:.17g}", f"{r.beta:.17g}", f"{r.fidelity:.17g}",
+        f"{r.residual:.17g}", r.passed, f"{r.tolerance:.17g}",
+        ";".join(f"{lb}:{p:.17g}" for lb, p in r.channel),
+        ";".join(f"{lb}:{p:.17g}" for lb, p in r.syndrome),
+    ]
+
+
+def _csv_document(rows: list[list]) -> str:
+    """The header and the rows, quoted by one csv.writer: class labels such
+    as {Z_1,Z_2,Z_3} contain commas."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(fields)
+    writer = csv.writer(buf)
+    writer.writerow(["code", "alpha", "beta", "fidelity", "residual", "passed",
+                     "tolerance", "channel", "syndrome"])
+    writer.writerows(rows)
     return buf.getvalue()
-
-
-_CSV_HEADER = _csv_line(
-    ["code", "alpha", "beta", "fidelity", "residual", "passed", "tolerance",
-     "channel", "syndrome"]
-)
-
-
-def _report_csv_line(r: analysis.RecoveryReport) -> str:
-    return _csv_line([
-        r.code,
-        format(r.alpha, ".17g"),
-        format(r.beta, ".17g"),
-        format(r.fidelity, ".17g"),
-        format(r.residual, ".17g"),
-        r.passed,
-        format(r.tolerance, ".17g"),
-        ";".join(f"{lb}:{format(p, '.17g')}" for lb, p in r.channel),
-        ";".join(f"{lb}:{format(p, '.17g')}" for lb, p in r.syndrome),
-    ])
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -195,15 +209,15 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     codes = _resolve_codes(args.code)
     line = {
-        "json": analysis.report_to_json,
-        "csv": _report_csv_line,
+        "json": _report_json,
+        "csv": _report_csv_row,
         "table": _report_table_line,
     }[args.format]
-    lines: list[str] = []
+    lines: list = []
     failures = 0
     for name in codes:
         cases = failed = 0
-        # Only the formatted line of a report is kept, never the report.
+        # Only the formatted line (a CSV row) of a report is kept, never the report.
         for r in analysis.verify_code(name, tol=args.tol, seed=args.seed):
             lines.append(line(r))
             cases += 1
@@ -212,7 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "table":
             lines.append(f"{name}: {cases - failed}/{cases} cases passed")
     if args.format == "csv":
-        _emit(_CSV_HEADER + "".join(lines), args.output)
+        _emit(_csv_document(lines), args.output)
     else:
         _emit("\n".join(lines), args.output)
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -226,9 +240,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     psi = _resolve_state(args.alpha, args.beta)
     report = analysis.run_experiment(codes[0], channel, psi, tol=args.tol)
     if args.format == "json":
-        _emit(analysis.report_to_json(report), args.output)
+        _emit(_report_json(report), args.output)
     elif args.format == "csv":
-        _emit(_CSV_HEADER + _report_csv_line(report), args.output)
+        _emit(_csv_document([_report_csv_row(report)]), args.output)
     else:
         text = "\n".join([
             f"code:      {report.code}",
@@ -250,12 +264,10 @@ def cmd_kl_check(args: argparse.Namespace) -> int:
         code = get_code(name)
         report = validate_kl(code, standard_error_set(code))
         if args.format == "json":
-            lines.append(analysis.to_json({
-                "code": name,
-                "gram_deviation": report.gram_deviation,
-                "classes": report.classes,
-                "nondegenerate": report.is_nondegenerate,
-            }))
+            classes = ", ".join(f'[{", ".join(map(_json_string, c))}]' for c in report.classes)
+            lines.append(f'{{"code": {_json_string(name)}, "gram_deviation": '
+                         f'{report.gram_deviation:.17g}, "classes": [{classes}], '
+                         f'"nondegenerate": {_json_bool(report.is_nondegenerate)}}}')
         else:
             lines.append(f"{name}: gram deviation {report.gram_deviation:.3e}, "
                          f"{len(report.classes)} error classes")
@@ -278,11 +290,8 @@ def cmd_dump(args: argparse.Namespace) -> int:
             code = get_code(name)
             rec = recovery_for(name)
             write_matrix(out_dir / f"{name}_R.txt", rec.matrix)
-            sidecar = []
-            for i, lbl in enumerate(rec.row_labels):
-                m = "completion" if lbl.m is None else str(lbl.m)
-                sidecar.append(f"{i} {m} {lbl.label}")
-            (out_dir / f"{name}_R_labels.txt").write_text("\n".join(sidecar) + "\n")
+            sidecar = "".join(f"{i} {rec.row_label(i)}\n" for i in range(rec.dim))
+            (out_dir / f"{name}_R_labels.txt").write_text(sidecar)
             write_matrix(out_dir / f"{name}_encoder.txt", encoding_unitary(code))
             write_matrix(out_dir / f"{name}_logical0.txt", code.logical0.reshape(-1, 1))
             write_matrix(out_dir / f"{name}_logical1.txt", code.logical1.reshape(-1, 1))
@@ -296,6 +305,21 @@ def cmd_dump(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _trajectory_json(report: analysis.TrajectoryReport) -> str:
+    entries = ", ".join(
+        f'{{"label": {_json_string(e.label)}, "class": {_json_string(e.class_label)}, '
+        f'"p": {e.probability:.17g}, "count": {e.count}, "frequency": {e.frequency:.17g}, '
+        f'"bound_3sigma": {e.bound_3sigma:.17g}, "within": {_json_bool(e.within_bound)}}}'
+        for e in report.entries
+    )
+    return (
+        f'{{"code": {_json_string(report.code)}, "samples": {report.samples}, '
+        f'"seed": {report.seed}, "entries": [{entries}], '
+        f'"max_recovery_error": {report.max_recovery_error:.17g}, '
+        f'"passed": {_json_bool(report.passed)}}}'
+    )
+
+
 def cmd_trajectory(args: argparse.Namespace) -> int:
     codes = _resolve_codes(args.code)
     if len(codes) != 1:
@@ -306,26 +330,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         codes[0], channel, psi, samples=args.samples, seed=args.seed, tol=args.tol
     )
     if args.format == "json":
-        entries = [
-            {
-                "label": e.label,
-                "class": e.class_label,
-                "p": e.probability,
-                "count": e.count,
-                "frequency": e.frequency,
-                "bound_3sigma": e.bound_3sigma,
-                "within": e.within_bound,
-            }
-            for e in report.entries
-        ]
-        _emit(analysis.to_json({
-            "code": report.code,
-            "samples": report.samples,
-            "seed": report.seed,
-            "entries": entries,
-            "max_recovery_error": report.max_recovery_error,
-            "passed": report.passed,
-        }), args.output)
+        _emit(_trajectory_json(report), args.output)
     else:
         lines = [
             f"{report.code}: {report.samples} samples, seed {report.seed}",

@@ -206,17 +206,8 @@ def _kl_report(
 
 
 @dataclass(frozen=True, eq=False)
-class RowLabel:
-    """Provenance of one recovery-matrix row: logical value and error-class
-    label for labeled rows, m=None for completion rows."""
-
-    m: int | None
-    label: str
-
-
-@dataclass(frozen=True, eq=False)
 class RecoveryMatrix:
-    """Orthogonal recovery matrix with per-row labels.
+    """Orthogonal recovery matrix and the error classes of its rows.
 
     Row m*2^(n-1) + c is (W_c |m>_L)^T for error class c, so applying the
     matrix maps W_c |psi> to psi (x) e_c with the data qubit in the first
@@ -225,7 +216,6 @@ class RecoveryMatrix:
     """
 
     matrix: np.ndarray = field(repr=False)
-    row_labels: tuple[RowLabel, ...]
     classes: tuple[tuple[str, ...], ...]
     class_map: dict[str, int]
     # max |R R^T - I|, set on construction.
@@ -277,6 +267,14 @@ class RecoveryMatrix:
     def class_labels(self) -> tuple[str, ...]:
         return tuple(_class_label(c) for c in self.classes)
 
+    def row_label(self, i: int) -> str:
+        """Provenance of row i: "m label" for the row of logical value m and
+        error class label, "completion (completion)" for a completion row."""
+        m, c = divmod(i, self.ancilla_dim)
+        if c < len(self.classes):
+            return f"{m} {self.class_labels[c]}"
+        return "completion (completion)"
+
 
 def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
     """Stack transposed error-shifted codewords into an orthogonal matrix.
@@ -306,13 +304,9 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
     k = len(groups)
 
     rows = np.zeros((d, d))
-    labels: list[RowLabel] = [RowLabel(None, "(completion)") for _ in range(d)]
     for c, grp in enumerate(groups):
-        cls_label = _class_label([ops[i].label for i in grp])
         rows[c] = shifts[grp[0], :d]
         rows[half + c] = shifts[grp[0], d:]
-        labels[c] = RowLabel(0, cls_label)
-        labels[half + c] = RowLabel(1, cls_label)
     if k < half:
         pinned = np.vstack([rows[:k], rows[half : half + k]])
         completion = gram_schmidt_extend(pinned, range(d), d - 2 * k)
@@ -322,7 +316,6 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
     class_map = {ops[i].label: c for c, grp in enumerate(groups) for i in grp}
     return RecoveryMatrix(
         matrix=rows,
-        row_labels=tuple(labels),
         classes=report.classes,
         class_map=class_map,
     )

@@ -136,34 +136,42 @@ def recover_block(rec: RecoveryMatrix, channel: ErrorChannel, x: np.ndarray) -> 
     return a
 
 
-def recovered_terms(
-    rec: RecoveryMatrix, ops: Sequence[ErrorOperator], code: Code
+def recovered_logical(
+    rec: RecoveryMatrix, channel: ErrorChannel, code: Code
 ) -> np.ndarray:
-    """R W_i M_j W_i^T R^T for each operator i and each symmetric logical
-    matrix M_0 = |0><0|, M_1 = |1><1|, M_2 = |0><1| + |1><0| (|m> = |m>_L),
-    stacked with shape (len(ops), 3, d, d), each by scatter conjugation and
-    two matrix products. The products run over the rows and columns where
-    X = W_i M_j W_i^T is nonzero (8 of 512 for shor9). The rest of X is
-    zero, so only the order of the rounded sums changes: on shor9 the
-    result moves by at most 3.2e-17 from the full d x d product.
+    """R (sum_i p_i W_i M_j W_i^T) R^T for each symmetric logical matrix
+    M_0 = |0><0|, M_1 = |1><1|, M_2 = |0><1| + |1><0| (|m> = |m>_L), stacked
+    with shape (3, d, d), summed over the terms with p_i > 0.
 
-    The channel and R rho R^T are linear in the probabilities and in rho,
-    and psi psi^T = alpha^2 M_0 + beta^2 M_1 + alpha beta M_2 for
-    psi = alpha|0>_L + beta|1>_L. So the dense recovered state of a channel
-    with probabilities p is
-    np.tensordot([alpha**2, beta**2, alpha * beta], np.tensordot(p, terms, axes=1), axes=1).
+    Each term is conjugated and multiplied over its support block only. M_j
+    is nonzero on the rows and columns S (8 or 16 of 512 for shor9), so
+    W_i M_j W_i^T is the block M_j[S, S], its rows and columns signed by W_i,
+    at rows and columns perm_i[S] (the scatter of conjugate), and the term
+    is C_i X_i C_i^T with C_i = R[:, perm_i[S]] and X_i = p_i times that
+    signed block. The sum over i is one product of the stacked C_i.
+
+    The channel and R rho R^T are linear in rho, and
+    psi psi^T = alpha^2 M_0 + beta^2 M_1 + alpha beta M_2 for
+    psi = alpha|0>_L + beta|1>_L. So the dense recovered state is
+    np.tensordot([alpha**2, beta**2, alpha * beta], recovered_logical(...), axes=1).
     """
     zero, one = code.logical0, code.logical1
-    cross = np.outer(zero, one)
-    logical = (np.outer(zero, zero), np.outer(one, one), cross + cross.T)
-    r = rec.matrix
-    out = np.empty((len(ops), len(logical), code.dim, code.dim))
-    for i, op in enumerate(ops):
-        for j, m in enumerate(logical):
-            x = conjugate(op, m)
-            support = np.flatnonzero(x.any(axis=0))
-            rs = r[:, support]
-            np.matmul(rs @ x[np.ix_(support, support)], rs.T, out=out[i, j])
+    terms = [(p, op) for p, op in channel.terms if p > 0]
+    probs = np.array([p for p, _ in terms])
+    perms = np.array([op.perm for _, op in terms])
+    signs = np.array([op.signs for _, op in terms])
+    d = code.dim
+    out = np.empty((3, d, d))
+    for j, (u, v) in enumerate([(zero, zero), (one, one), (zero, one)]):
+        support = np.flatnonzero((u != 0) | (v != 0))
+        m = np.outer(u[support], v[support])
+        if j == 2:
+            m = m + m.T
+        sign = signs[:, support]
+        blocks = probs[:, None, None] * sign[:, :, None] * m * sign[:, None, :]
+        cols = rec.matrix[:, perms[:, support]]
+        left = np.einsum("dia,iab->dib", cols, blocks)
+        np.matmul(left.reshape(d, -1), cols.reshape(d, -1).T, out=out[j])
     return out
 
 

@@ -5,7 +5,15 @@ explicit index loops, operator embeddings column by column from the bits of
 the basis index, and the corrupted 3-qubit density matrix is written out
 entry by entry. These stay deliberately
 naive so they cannot share a bug with the fast paths they check.
+
+The output writers the command line used before its fixed templates (a
+recursive JSON writer and a CSV writer of one line at a time) are kept here
+as references for the bytes the templates must write.
 """
+
+import csv
+import io
+from json.encoder import encode_basestring_ascii as json_string
 
 import numpy as np
 
@@ -157,22 +165,119 @@ def choice_counts(probs, samples, seed):
     return np.bincount(drawn, minlength=len(probs))
 
 
-def conventional_recovery(reps, l0, l1, V):
+def conventional_recovery(isometries, V):
     """Projective recovery of rho = V V^T, the comparison for the single
     orthogonal recovery: for each error class c with representative operator
     W_c, B_c = W_c [l0 l1] is an isometry onto that class's syndrome space.
     Projecting onto it and undoing W_c leaves B_c^T rho B_c, so the data
     qubit is the sum of these over the classes and the syndrome probability
-    of class c is its trace. V is d x k, or a stack of them (..., d, k).
+    of class c is its trace. `isometries` holds the d x 2 matrices B_c; V is
+    d x k, or a stack of them (..., d, k).
 
     Returns the data qubit (..., 2, 2) and the syndrome (..., classes), in
-    the order of reps."""
-    logical = np.column_stack([l0, l1])
+    the order of `isometries`."""
     qubit = 0.0
     syndrome = []
-    for w in reps:
-        x = (w @ logical).T @ V
+    for b in isometries:
+        x = b.T @ V
         term = x @ np.swapaxes(x, -1, -2)
         qubit = qubit + term
         syndrome.append(np.trace(term, axis1=-2, axis2=-1))
     return qubit, np.stack(syndrome, axis=-1)
+
+
+def to_json(value):
+    """One-line JSON for nested dicts (keys in insertion order), lists,
+    tuples, strings, bools, ints and floats. Floats are written at 17
+    significant digits and strings as json.dumps writes them."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return json_string(value)
+    if isinstance(value, dict):
+        items = [f"{json_string(k)}: {to_json(v)}" for k, v in value.items()]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join([to_json(v) for v in value]) + "]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def report_to_json(report):
+    """The JSON line of a verify or demo report."""
+    return to_json({
+        "code": report.code,
+        "channel": [{"label": lb, "p": p} for lb, p in report.channel],
+        "alpha": report.alpha,
+        "beta": report.beta,
+        "fidelity": report.fidelity,
+        "residual": report.residual,
+        "syndrome": [{"label": lb, "p": p} for lb, p in report.syndrome],
+        "passed": report.passed,
+        "tolerance": report.tolerance,
+    })
+
+
+def kl_to_json(name, report):
+    """The JSON line of one code's kl-check."""
+    return to_json({
+        "code": name,
+        "gram_deviation": report.gram_deviation,
+        "classes": report.classes,
+        "nondegenerate": report.is_nondegenerate,
+    })
+
+
+def trajectory_to_json(report):
+    """The JSON document of a trajectory run."""
+    entries = [
+        {
+            "label": e.label,
+            "class": e.class_label,
+            "p": e.probability,
+            "count": e.count,
+            "frequency": e.frequency,
+            "bound_3sigma": e.bound_3sigma,
+            "within": e.within_bound,
+        }
+        for e in report.entries
+    ]
+    return to_json({
+        "code": report.code,
+        "samples": report.samples,
+        "seed": report.seed,
+        "entries": entries,
+        "max_recovery_error": report.max_recovery_error,
+        "passed": report.passed,
+    })
+
+
+def csv_line(fields):
+    """One CSV line, written by a csv.writer of its own."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+CSV_HEADER = csv_line(
+    ["code", "alpha", "beta", "fidelity", "residual", "passed", "tolerance",
+     "channel", "syndrome"]
+)
+
+
+def report_csv_line(report):
+    """The CSV line of a verify or demo report."""
+    return csv_line([
+        report.code,
+        format(report.alpha, ".17g"),
+        format(report.beta, ".17g"),
+        format(report.fidelity, ".17g"),
+        format(report.residual, ".17g"),
+        report.passed,
+        format(report.tolerance, ".17g"),
+        ";".join(f"{lb}:{format(p, '.17g')}" for lb, p in report.channel),
+        ";".join(f"{lb}:{format(p, '.17g')}" for lb, p in report.syndrome),
+    ])

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -12,12 +11,10 @@ from uqec.analysis import (
     TRAJECTORY_ALPHA,
     check_product_form,
     fidelity_pure,
-    report_to_json,
     run_experiment,
     run_experiments,
     simplex_grid,
     syndrome_distribution,
-    to_json,
     trajectory_statistics,
     verification_probability_vectors,
     verify_code,
@@ -40,7 +37,7 @@ from dense import (
     check_product_form_dense,
     partial_trace,
     recover_block,
-    recovered_terms,
+    recovered_logical,
     verify_permutation_factorization_3qubit,
 )
 from oracles import choice_counts, conventional_recovery, group_pairs_brute, pauli_brute
@@ -397,10 +394,10 @@ class TestFactorPathMatchesDenseOracle:
     1e-14 (float64 rounding over sums of at most 28 terms) over the whole
     verify grid, with identical verdicts.
 
-    The dense state of a case combines the dense recovered terms
-    R W_i M W_i^T R^T of the three symmetric logical matrices M, each formed
-    once per code (dense.recovered_terms): the channel and R rho R^T are
-    linear in p and in rho.
+    The dense state of a case combines the dense recovered channel
+    sum_i p_i R W_i M W_i^T R^T of the three symmetric logical matrices M,
+    each term formed over its support block (dense.recovered_logical): the
+    channel and R rho R^T are linear in rho.
 
     The conventional projective recovery (oracles.conventional_recovery,
     with operators and classes built apart from the package) must give the
@@ -413,33 +410,26 @@ class TestFactorPathMatchesDenseOracle:
         rec = recovery_for(name)
         split = QubitSplit(2, code.dim // 2)
         grid = verification_probability_vectors(len(ops), seed=42)
-        terms = recovered_terms(rec, ops, code)
         # W_i [|0>_L |1>_L] of each operator, and its error classes.
         shifted = np.stack([
             pauli_brute(op.label, code.n) @ np.column_stack([code.logical0, code.logical1])
             for op in ops
         ])
         groups = group_pairs_brute(shifted[:, :, 0], shifted[:, :, 1], 1e-10)
-        reps = [pauli_brute(ops[grp[0]].label, code.n) for grp in groups]
+        isometries = shifted[[grp[0] for grp in groups]]
         class_of = {frozenset(ops[i].label for i in grp): c for c, grp in enumerate(groups)}
         amplitudes = np.array([(psi.alpha, psi.beta) for psi in INPUT_STATES])
         worst = worst_conventional = 0.0
         for probs in grid:
             channel = ErrorChannel.from_probs(ops, probs)
-            # Only the span of the terms with p > 0, as a view: a vertex
-            # channel has one term. Zero terms would add exact zeros.
-            nonzero = np.flatnonzero(probs)
-            span = slice(nonzero[0], nonzero[-1] + 1)
-            logical = np.tensordot(probs[span], terms[span], axes=1)
+            logical = recovered_logical(rec, channel, code)
             reports = run_experiments(code, channel, INPUT_STATES)
             encoded = [encode_state(code, psi) for psi in INPUT_STATES]
             factor = recover_pure_state(rec, channel, encoded)
             recovered = factor @ np.swapaxes(factor, -1, -2)
             # The factor of each corrupted state: column i is sqrt(p_i) W_i psi.
             v = np.einsum("idm,sm->sdi", shifted, amplitudes) * np.sqrt(probs)
-            conv_qubit, conv_syndrome = conventional_recovery(
-                reps, code.logical0, code.logical1, v
-            )
+            conv_qubit, conv_syndrome = conventional_recovery(isometries, v)
             for s, (psi, report) in enumerate(zip(INPUT_STATES, reports)):
                 a, b = psi.alpha, psi.beta
                 vec = amplitudes[s]
@@ -523,39 +513,3 @@ class TestFailedConditions:
         report = run_experiment("bitflip3", channel, PureQubitState(0.6, 0.8), tol=float("nan"))
         assert report.failed == CONDITIONS
         assert report.passed is False
-
-
-class TestReportJson:
-    def test_schema_and_key_order(self):
-        report = run_experiment(
-            "bitflip3", channel_for("bitflip3", [0.7, 0.1, 0.1, 0.1]),
-            PureQubitState(0.6, 0.8),
-        )
-        text = report_to_json(report)
-        doc = json.loads(text)
-        assert list(doc.keys()) == [
-            "code", "channel", "alpha", "beta", "fidelity", "residual",
-            "syndrome", "passed", "tolerance",
-        ]
-        assert doc["code"] == "bitflip3"
-        assert doc["passed"] is True
-        assert doc["channel"][0] == {"label": "I", "p": 0.7}
-        assert doc["syndrome"][1]["label"] == "X_3"
-
-    def test_deterministic(self):
-        ch = channel_for("bitflip3", [0.7, 0.1, 0.1, 0.1])
-        psi = PureQubitState(0.6, 0.8)
-        a = report_to_json(run_experiment("bitflip3", ch, psi))
-        b = report_to_json(run_experiment("bitflip3", ch, psi))
-        assert a == b
-
-
-class TestToJson:
-    def test_numbers_bools_and_escaped_strings(self):
-        doc = {"label": 'a "b"\n', "v": [{"p": 0.7, "n": 3}, (True, np.bool_(False))], "e": []}
-        text = to_json(doc)
-        assert text == (
-            '{"label": "a \\"b\\"\\n", "v": [{"p": 0.69999999999999996, "n": 3}, '
-            '[true, false]], "e": []}'
-        )
-        assert json.loads(text) == {**doc, "v": [{"p": 0.7, "n": 3}, [True, False]]}

@@ -22,7 +22,9 @@
 - a mixed input rho_0 = F F^T, pushed through the factor path with two
   columns per channel term, recovers as the dense pipeline does;
 - malformed command lines end with exit 0, 1 or 2, never a traceback, and
-  exit 2 prints exactly one `error:` line.
+  exit 2 prints exactly one `error:` line;
+- the command line's JSON template and CSV document write the bytes of the
+  recursive JSON writer and the one-line CSV writer in tests/oracles.py.
 """
 
 import contextlib
@@ -36,7 +38,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from uqec import analysis
+from uqec import analysis, cli
 from uqec.analysis import DEFAULT_TOL, _term_counts, check_product_form, run_experiments
 from uqec.cli import main
 from uqec.codes import CODE_NAMES, PureQubitState, encode_state, get_code, standard_error_set
@@ -44,6 +46,7 @@ from uqec.linalg import gram
 from uqec.recovery import ErrorChannel, recover_pure_state, recovery_for
 
 import dense
+import oracles
 from oracles import choice_counts
 
 
@@ -101,6 +104,17 @@ def test_stacked_pass_matches_one_state_passes(case):
     for psi, report in zip(states, stacked):
         (alone,) = run_experiments(name, channel, [psi], tol)
         assert report_bytes(report) == report_bytes(alone)
+
+
+@settings(max_examples=30, deadline=None)
+@given(partial_channels())
+def test_report_writers_write_the_old_writers_bytes(case):
+    name, channel, states, tol = case
+    reports = run_experiments(name, channel, states, tol)
+    assert [cli._report_json(r) for r in reports] == list(map(oracles.report_to_json, reports))
+    assert cli._csv_document([cli._report_csv_row(r) for r in reports]) == (
+        oracles.CSV_HEADER + "".join(map(oracles.report_csv_line, reports))
+    )
 
 
 def assert_full_r_product(name, channel, states):

@@ -2,13 +2,18 @@ import json
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from uqec import analysis, cli
+from uqec.analysis import TrajectoryEntry, TrajectoryReport, run_experiment
 from uqec.cli import main
-from uqec.recovery import recovery_for
+from uqec.codes import CODE_NAMES, PureQubitState, get_code, standard_error_set
+from uqec.recovery import ErrorChannel, recovery_for, validate_kl
 
+import oracles
 from dense import read_matrix
 
 DATA = Path(__file__).parent / "data"
@@ -385,3 +390,156 @@ class TestChannelNormalization:
             assert rc == 2
             assert "sum to 2.0, expected 1" in err
             assert "np.float64" not in err
+
+
+def bitflip3_report():
+    channel = ErrorChannel.from_probs(
+        standard_error_set(get_code("bitflip3")), [0.7, 0.1, 0.1, 0.1]
+    )
+    return run_experiment("bitflip3", channel, PureQubitState(0.6, 0.8))
+
+
+def assert_same_text(got, expected):
+    """got == expected, naming the first line that differs: pytest's own
+    diff of two long texts that differ on many lines takes minutes."""
+    for i, (a, b) in enumerate(zip(got.splitlines(True), expected.splitlines(True))):
+        assert a == b, f"line {i}"
+    assert got == expected
+
+
+def record(monkeypatch, name):
+    """Replace analysis.<name> by a wrapper that keeps every result it returns."""
+    real, seen = getattr(analysis, name), []
+
+    def wrapper(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(analysis, name, wrapper)
+    return seen
+
+
+class TestReportJson:
+    def test_schema_and_key_order(self):
+        doc = json.loads(cli._report_json(bitflip3_report()))
+        assert list(doc.keys()) == [
+            "code", "channel", "alpha", "beta", "fidelity", "residual",
+            "syndrome", "passed", "tolerance",
+        ]
+        assert doc["code"] == "bitflip3"
+        assert doc["passed"] is True
+        assert doc["channel"][0] == {"label": "I", "p": 0.7}
+        assert doc["syndrome"][1]["label"] == "X_3"
+
+    def test_deterministic(self):
+        assert cli._report_json(bitflip3_report()) == cli._report_json(bitflip3_report())
+
+
+class TestJsonTemplates:
+    ODD = 'a "b"\n\u00e9'
+
+    def test_numbers_bools_and_escaped_strings(self):
+        report = SimpleNamespace(
+            code=self.ODD, channel=((self.ODD, 0.7), ("I", 0.3)), alpha=0.6, beta=-0.8,
+            fidelity=1.0, residual=0.0, syndrome=((self.ODD, 1.0),), passed=False,
+            tolerance=1e-10,
+        )
+        text = cli._report_json(report)
+        odd = '"a \\"b\\"\\n\\u00e9"'
+        assert text == (
+            f'{{"code": {odd}, "channel": [{{"label": {odd}, "p": 0.69999999999999996}}, '
+            '{"label": "I", "p": 0.29999999999999999}], "alpha": 0.59999999999999998, '
+            '"beta": -0.80000000000000004, "fidelity": 1, "residual": 0, '
+            f'"syndrome": [{{"label": {odd}, "p": 1}}], "passed": false, '
+            '"tolerance": 1e-10}'
+        )
+        doc = json.loads(text)
+        assert doc["code"] == doc["channel"][0]["label"] == self.ODD
+        assert text == oracles.report_to_json(report)
+
+    def test_numpy_bools_and_ints(self):
+        entry = TrajectoryEntry(
+            label=self.ODD, class_label="{Z_1,Z_2,Z_3}", probability=0.7,
+            count=np.int64(3), frequency=0.75, bound_3sigma=0.1, within_bound=np.bool_(False),
+        )
+        report = TrajectoryReport(
+            code=self.ODD, samples=4, seed=0, entries=(entry,), max_recovery_error=0.0,
+            passed=np.bool_(True),
+        )
+        text = cli._trajectory_json(report)
+        doc = json.loads(text)
+        assert doc["entries"] == [{
+            "label": self.ODD, "class": "{Z_1,Z_2,Z_3}", "p": 0.7, "count": 3,
+            "frequency": 0.75, "bound_3sigma": 0.1, "within": False,
+        }]
+        assert doc["passed"] is True
+        assert '"count": 3, ' in text
+        assert text == oracles.trajectory_to_json(report)
+
+
+class TestWritersMatchTheOldOnes:
+    """The fixed templates and the one csv.writer write byte for byte what
+    the recursive JSON writer and the one-line CSV writer of tests/oracles.py
+    write for the same records."""
+
+    @pytest.mark.parametrize("seed,tol", [(42, 1e-10), (42, 0.0), (7, 1e-10), (7, 0.0)])
+    def test_verify_grids(self, seed, tol, monkeypatch, capsys):
+        grids = {name: list(analysis.verify_code(name, tol=tol, seed=seed)) for name in CODE_NAMES}
+
+        def replay(name, **kwargs):
+            assert kwargs == {"tol": tol, "seed": seed}
+            return iter(grids[name])
+
+        monkeypatch.setattr(analysis, "verify_code", replay)
+        reports = [r for name in CODE_NAMES for r in grids[name]]
+        rc = 0 if all(r.passed for r in reports) else 1
+        argv = ["verify", "--code", "all", "--seed", str(seed), "--tol", repr(tol)]
+        assert main([*argv, "--format", "json"]) == rc
+        assert_same_text(
+            capsys.readouterr().out, "".join(oracles.report_to_json(r) + "\n" for r in reports)
+        )
+        assert main([*argv, "--format", "csv"]) == rc
+        assert_same_text(
+            capsys.readouterr().out,
+            oracles.CSV_HEADER + "".join(map(oracles.report_csv_line, reports)),
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_demo(self, fmt, monkeypatch, capsys):
+        seen = record(monkeypatch, "run_experiment")
+        probs = ",".join(["0.1"] * 10 + ["0"] * 18)
+        argv = ["--alpha", "0.6", "--beta", "-0.8", "--format", fmt]
+        assert main(["demo", "--code", "shor9", "--probs", probs, *argv]) == 0
+        assert main(["demo", "--code", "bitflip3", "--probs", "1,0,0,0", "--tol", "0", *argv]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert_same_text(out, "".join(oracles.report_to_json(r) + "\n" for r in seen))
+        else:
+            assert_same_text(
+                out, "".join(oracles.CSV_HEADER + oracles.report_csv_line(r) for r in seen)
+            )
+
+    def test_kl_check(self, capsys):
+        assert main(["kl-check", "--code", "all", "--format", "json"]) == 0
+        expected = "".join(
+            oracles.kl_to_json(name, validate_kl(get_code(name), standard_error_set(get_code(name))))
+            + "\n"
+            for name in CODE_NAMES
+        )
+        assert_same_text(capsys.readouterr().out, expected)
+
+    @pytest.mark.parametrize("name,probs", [
+        ("bitflip3", "0.5,0.3,0.2,0"),
+        ("divincenzo5", ",".join(["0.25", "0"] * 4 + ["0"] * 8)),
+        ("shor9", ",".join(["0.1"] * 10 + ["0"] * 18)),
+    ])
+    def test_trajectory(self, name, probs, monkeypatch, capsys):
+        seen = record(monkeypatch, "trajectory_statistics")
+        rc = main([
+            "trajectory", "--code", name, "--probs", probs, "--samples", "2000",
+            "--seed", "5", "--format", "json",
+        ])
+        (report,) = seen
+        assert rc == (0 if report.passed else 1)
+        assert any(e.probability == 0.0 for e in report.entries)
+        assert_same_text(capsys.readouterr().out, oracles.trajectory_to_json(report) + "\n")

@@ -20,7 +20,6 @@ from uqec.recovery import (
     ErrorChannel,
     KLViolationError,
     RecoveryMatrix,
-    RowLabel,
     build_recovery,
     read_channel_file,
     recover_pure_state,
@@ -255,14 +254,15 @@ class TestBuildRecovery:
         rec = recovery_for("divincenzo5")
         assert rec.matrix.shape == (32, 32)
         assert np.max(np.abs(rec.matrix @ rec.matrix.T - np.eye(32))) <= 1e-10
-        assert all(lbl.m is not None for lbl in rec.row_labels)  # no completion rows
+        # No completion rows.
+        assert [rec.row_label(i).split()[0] for i in range(32)] == ["0"] * 16 + ["1"] * 16
 
     def test_shor9_labeled_and_completion_rows(self):
         rec = recovery_for("shor9")
-        labeled = [lbl for lbl in rec.row_labels if lbl.m is not None]
-        completion = [lbl for lbl in rec.row_labels if lbl.m is None]
-        assert len(labeled) == 44
+        labels = [rec.row_label(i) for i in range(512)]
+        completion = [i for i, lb in enumerate(labels) if lb == "completion (completion)"]
         assert len(completion) == 468
+        assert completion == list(range(22, 256)) + list(range(278, 512))
         assert np.max(np.abs(rec.matrix @ rec.matrix.T - np.eye(512))) <= 1e-10
 
     def test_class_labels_are_stored_once(self):
@@ -270,7 +270,10 @@ class TestBuildRecovery:
         assert rec.class_labels is rec.class_labels
         assert len(rec.class_labels) == len(rec.classes) == 22
         assert rec.class_labels[-3:] == ("{Z_1,Z_2,Z_3}", "{Z_4,Z_5,Z_6}", "{Z_7,Z_8,Z_9}")
-        assert [lbl.label for lbl in rec.row_labels[:22]] == list(rec.class_labels)
+        assert [rec.row_label(c) for c in range(22)] == [f"0 {lb}" for lb in rec.class_labels]
+        assert [rec.row_label(256 + c) for c in range(22)] == [
+            f"1 {lb}" for lb in rec.class_labels
+        ]
 
     def test_labeled_rows_are_shifted_codewords(self):
         code = shor9()
@@ -291,7 +294,9 @@ class TestBuildRecovery:
         code = bitflip3()
         ops = standard_error_set(code)[:2]  # I, X_1
         rec = build_recovery(code, ops)
-        assert sum(1 for lbl in rec.row_labels if lbl.m is not None) == 4
+        labels = [rec.row_label(i) for i in range(8)]
+        assert labels == ["0 I", "0 X_1"] + ["completion (completion)"] * 2 + [
+            "1 I", "1 X_1"] + ["completion (completion)"] * 2
         assert np.max(np.abs(rec.matrix @ rec.matrix.T - np.eye(8))) <= 1e-10
 
     @pytest.mark.parametrize("bad", ["repeated unit row", "nan"])
@@ -302,12 +307,7 @@ class TestBuildRecovery:
         else:
             m[3] = m[1]
         with pytest.raises(ValueError, match="not orthogonal"):
-            RecoveryMatrix(
-                matrix=m,
-                row_labels=tuple(RowLabel(None, "(completion)") for _ in range(4)),
-                classes=(),
-                class_map={},
-            )
+            RecoveryMatrix(matrix=m, classes=(), class_map={})
 
 
 def kl_fields_pairwise(code, ops):
