@@ -25,6 +25,7 @@ output format of them is written by the command-line front end (cli).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -100,8 +101,6 @@ def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[floa
     (README, "Gram products").
     """
     s, d, k = a.shape
-    if d % 2:
-        raise ValueError(f"state dimension {d} is odd: no first qubit to split off")
     rest = d // 2
     blocks = a.reshape(s, 2, rest, k)
     g = blocks.transpose(0, 2, 1, 3).reshape(s, rest, 2 * k)
@@ -129,8 +128,6 @@ def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[floa
 def fidelity_pure(q: np.ndarray, states: Sequence[PureQubitState]) -> list[float]:
     """<psi| rho |psi> for each single-qubit state rho of the stack q against
     its pure target in `states`."""
-    if q.shape[-1] != 2:
-        raise ValueError(f"expected single-qubit states, got dimension {q.shape[-1]}")
     v = np.array([(psi.alpha, psi.beta) for psi in states])
     return (v[:, None, :] @ q @ v[:, :, None]).reshape(-1).tolist()
 
@@ -265,20 +262,14 @@ def run_experiment(
 
 # --- verification grids -----------------------------------------------------
 
-def simplex_grid(k: int, step: float = 0.25) -> list[np.ndarray]:
-    """All length-k probability vectors whose entries are multiples of step."""
-    units = int(round(1.0 / step))
-    out: list[np.ndarray] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(np.array(prefix + [remaining], dtype=float) * step)
-            return
-        for u in range(remaining + 1):
-            rec(prefix + [u], remaining - u, slots - 1)
-
-    rec([], units, k)
-    return out
+def simplex_grid(k: int) -> list[np.ndarray]:
+    """All length-k probability vectors whose entries are multiples of 0.25,
+    the first k - 1 entries in lexicographic order."""
+    return [
+        np.array([*head, 4 - sum(head)], dtype=float) * 0.25
+        for head in itertools.product(range(5), repeat=k - 1)
+        if sum(head) <= 4
+    ]
 
 
 def verification_probability_vectors(k: int, seed: int = 42) -> list[np.ndarray]:
@@ -288,7 +279,7 @@ def verification_probability_vectors(k: int, seed: int = 42) -> list[np.ndarray]
     vertices plus interior points pin the general case); always followed by
     10 seeded random vectors."""
     if k <= 4:
-        vectors = simplex_grid(k, 0.25)
+        vectors = simplex_grid(k)
     else:
         vectors = [np.eye(k)[i] for i in range(k)]
         vectors.append(np.full(k, 1.0 / k))

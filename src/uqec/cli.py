@@ -1,5 +1,7 @@
 """Command-line front end: verification grids, single experiments, KL checks,
-matrix dumps, and Monte Carlo trajectory cross-checks.
+matrix dumps, and Monte Carlo trajectory cross-checks. It owns every input
+and output format: `--probs` and channel files become an ErrorChannel on one
+path (_resolve_channel), and every record is written here from a template.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, reported as one `error:` line on stderr.
@@ -21,13 +23,7 @@ import numpy as np
 from . import analysis
 from .codes import CODE_NAMES, PureQubitState, encoding_unitary, get_code, standard_error_set
 from .linalg import write_matrix
-from .recovery import (
-    ErrorChannel,
-    normalized_probabilities,
-    read_channel_file,
-    recovery_for,
-    validate_kl,
-)
+from .recovery import ErrorChannel, recovery_for, validate_kl
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -120,26 +116,78 @@ def _resolve_state(alpha: float | None, beta: float | None) -> PureQubitState:
     return PureQubitState(alpha * scale, beta * scale)
 
 
+def _channel_file_terms(path: str, ops, code_name: str) -> tuple[list, list[float]]:
+    """The operators and probabilities of a channel file: one "label
+    probability" pair per line, labels from `ops`, the code's standard error
+    set. Lines starting with '#' and blank lines are ignored."""
+    by_label = {op.label: op for op in ops}
+    terms: dict[str, float] = {}
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise CliError(f"{path}:{lineno}: expected 'label probability', got {raw!r}")
+        label, prob_text = parts
+        if label not in by_label:
+            raise CliError(f"{path}:{lineno}: unknown operator {label!r} for code {code_name}")
+        if label in terms:
+            raise CliError(f"{path}:{lineno}: duplicate operator {label!r}")
+        try:
+            terms[label] = float(prob_text)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
+    if not terms:
+        raise CliError(f"{path}: no channel terms found")
+    return [by_label[label] for label in terms], list(terms.values())
+
+
 def _resolve_channel(args: argparse.Namespace, code_name: str) -> ErrorChannel:
-    code = get_code(code_name)
+    """The channel of --probs (in standard error-set order) or of
+    --channel-file, whichever was given, through the same rounding rule and
+    the same ErrorChannel check."""
     if (args.channel_file is None) == (args.probs is None):
         raise CliError("provide exactly one of --channel-file / --probs")
+    ops = standard_error_set(get_code(code_name))
     if args.channel_file is not None:
+        source = args.channel_file
+        ops, probs = _channel_file_terms(source, ops, code_name)
+    else:
+        source = "--probs"
         try:
-            return read_channel_file(args.channel_file, code)
-        except (OSError, ValueError) as exc:
-            raise CliError(str(exc)) from exc
-    ops = standard_error_set(code)
+            probs = [float(t) for t in args.probs.split(",")]
+        except ValueError as exc:
+            raise CliError(f"bad --probs value: {exc}") from exc
+        if len(probs) != len(ops):
+            raise CliError(f"--probs needs {len(ops)} entries for {code_name}, got {len(probs)}")
+    # A user may round the probabilities: their sum must be 1 within 1e-9. A
+    # sum that misses ErrorChannel's own 1e-12 rule is divided out; any other
+    # input is kept as typed, so that 0.7 stays 0.7 rather than becoming its
+    # rescaled neighbour. A sum of huge entries overflows to inf, and the
+    # check is written so that a NaN or inf sum fails it.
+    with np.errstate(over="ignore"):
+        total = float(np.sum(probs))
+    if not abs(total - 1.0) <= 1e-9:
+        raise CliError(f"{source}: probabilities sum to {total!r}, expected 1 within 1e-9")
+    if not abs(total - 1.0) <= 1e-12:
+        probs = [p / total for p in probs]
     try:
-        probs = [float(t) for t in args.probs.split(",")]
+        return ErrorChannel.from_probs(ops, probs)
     except ValueError as exc:
-        raise CliError(f"bad --probs value: {exc}") from exc
-    if len(probs) != len(ops):
-        raise CliError(f"--probs needs {len(ops)} entries for {code_name}, got {len(probs)}")
-    try:
-        return ErrorChannel.from_probs(ops, normalized_probabilities(probs))
-    except ValueError as exc:
-        raise CliError(f"--probs: {exc}") from exc
+        raise CliError(f"{source}: {exc}") from exc
+
+
+def _one_experiment(args: argparse.Namespace) -> tuple[str, ErrorChannel, PureQubitState]:
+    """The one code, channel and input state of a demo or trajectory run."""
+    codes = _resolve_codes(args.code)
+    if len(codes) != 1:
+        raise CliError(f"{args.command} needs a single code, not 'all'")
+    return codes[0], _resolve_channel(args, codes[0]), _resolve_state(args.alpha, args.beta)
 
 
 def _pairs(items) -> str:
@@ -233,12 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    codes = _resolve_codes(args.code)
-    if len(codes) != 1:
-        raise CliError("demo needs a single code, not 'all'")
-    channel = _resolve_channel(args, codes[0])
-    psi = _resolve_state(args.alpha, args.beta)
-    report = analysis.run_experiment(codes[0], channel, psi, tol=args.tol)
+    report = analysis.run_experiment(*_one_experiment(args), tol=args.tol)
     if args.format == "json":
         _emit(_report_json(report), args.output)
     elif args.format == "csv":
@@ -321,13 +364,8 @@ def _trajectory_json(report: analysis.TrajectoryReport) -> str:
 
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
-    codes = _resolve_codes(args.code)
-    if len(codes) != 1:
-        raise CliError("trajectory needs a single code, not 'all'")
-    channel = _resolve_channel(args, codes[0])
-    psi = _resolve_state(args.alpha, args.beta)
     report = analysis.trajectory_statistics(
-        codes[0], channel, psi, samples=args.samples, seed=args.seed, tol=args.tol
+        *_one_experiment(args), samples=args.samples, seed=args.seed, tol=args.tol
     )
     if args.format == "json":
         _emit(_trajectory_json(report), args.output)

@@ -14,15 +14,6 @@ import numpy as np
 
 from .linalg import basis_vector, gram_schmidt_extend
 
-# Signed-permutation form of each single-qubit operator: column j carries a
-# single entry signs[j] in row perm[j].
-_SIGNED_PERM = {
-    "I": (np.array([0, 1]), np.array([1.0, 1.0])),
-    "X": (np.array([1, 0]), np.array([1.0, 1.0])),
-    "Y": (np.array([1, 0]), np.array([1.0, -1.0])),
-    "Z": (np.array([0, 1]), np.array([1.0, -1.0])),
-}
-
 CODE_NAMES = ("bitflip3", "divincenzo5", "shor9")
 
 
@@ -70,22 +61,20 @@ class ErrorOperator:
 
 
 def error_operator(kind: str, qubit: int, n: int) -> ErrorOperator:
-    """Embed I, X, Y or Z acting on the given qubit (1..n) into 2^n dims."""
-    if kind not in _SIGNED_PERM:
+    """Embed I, X, Y or Z acting on the given qubit (1..n) into 2^n dims: X
+    and Y flip the qubit's bit, 1 << (n - qubit), of column j's index to give
+    its row, and Z and Y negate the columns where that bit is 1."""
+    if kind not in ("I", "X", "Y", "Z"):
         raise ValueError(f"unknown operator kind {kind!r}")
     if kind != "I" and not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
-    perm = np.array([0])
-    signs = np.array([1.0])
-    for q in range(1, n + 1):
-        p, s = _SIGNED_PERM[kind if (kind != "I" and q == qubit) else "I"]
-        perm = (perm[:, None] * 2 + p[None, :]).ravel()
-        signs = np.outer(signs, s).ravel()
+    bit = 0 if kind == "I" else 1 << (n - qubit)
+    index = np.arange(2 ** n)
     return ErrorOperator(
         n=n,
         label="I" if kind == "I" else f"{kind}_{qubit}",
-        perm=_freeze(perm),
-        signs=_freeze(signs),
+        perm=_freeze(index ^ (bit if kind in ("X", "Y") else 0)),
+        signs=_freeze(np.where(index & (bit if kind in ("Y", "Z") else 0), -1.0, 1.0)),
     )
 
 
@@ -114,24 +103,11 @@ class Code:
         return 2 ** self.n
 
 
-def _signed_superposition(terms: tuple[tuple[str, int], ...], amplitude: float, n: int) -> np.ndarray:
-    v = np.zeros(2 ** n)
-    for bits, sign in terms:
-        v[int(bits, 2)] = sign * amplitude
-    return v
-
-
 # Logical |0> of the 5-qubit code: 16 basis strings with coefficient +-1/4.
 _FIVE_LOGICAL0 = (
     ("00000", +1), ("11000", +1), ("01100", +1), ("00110", +1), ("00011", +1), ("10001", +1),
     ("10100", -1), ("01010", -1), ("00101", -1), ("10010", -1), ("01001", -1),
     ("11110", -1), ("01111", -1), ("10111", -1), ("11011", -1), ("11101", -1),
-)
-# Logical |1>: the bitwise complement pattern with the same signs.
-_FIVE_LOGICAL1 = (
-    ("11111", +1), ("00111", +1), ("10011", +1), ("11001", +1), ("11100", +1), ("01110", +1),
-    ("01011", -1), ("10101", -1), ("11010", -1), ("01101", -1), ("10110", -1),
-    ("00001", -1), ("10000", -1), ("01000", -1), ("00100", -1), ("00010", -1),
 )
 
 
@@ -147,11 +123,15 @@ def bitflip3() -> Code:
 
 def divincenzo5() -> Code:
     """The [[5,1,3]] code correcting any single-qubit Pauli error."""
+    l0 = np.zeros(32)
+    for bits, sign in _FIVE_LOGICAL0:
+        l0[int(bits, 2)] = sign * 0.25
     return Code(
         name="divincenzo5",
         n=5,
-        logical0=_freeze(_signed_superposition(_FIVE_LOGICAL0, 0.25, 5)),
-        logical1=_freeze(_signed_superposition(_FIVE_LOGICAL1, 0.25, 5)),
+        logical0=_freeze(l0),
+        # Each basis string of |0>_L complemented, with its sign: j -> 31 - j.
+        logical1=_freeze(l0[::-1].copy()),
     )
 
 

@@ -7,14 +7,14 @@ tensor product of the original single-qubit state with a diagnostic ancilla
 state, so the data qubit is recovered without any projection or syndrome
 measurement. Operators acting identically on the code space (degenerate
 errors, e.g. the per-block Z flips of the 9-qubit code) are collapsed into
-one error class with a single row pair.
+one error class with a single row pair. Only the math lives here: channels
+arrive as ErrorChannel values, which cli builds from user text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -70,60 +70,6 @@ class ErrorChannel:
         if len(ops) != len(probs):
             raise ValueError(f"{len(probs)} probabilities for {len(ops)} operators")
         return cls(tuple((float(p), op) for p, op in zip(probs, ops)))
-
-
-def normalized_probabilities(probs: Sequence[float]) -> list[float]:
-    """Channel probabilities typed by a user, who may round them: the sum
-    must be 1 within 1e-9. A sum that misses ErrorChannel's own 1e-12 rule is
-    divided out; any other input is returned as typed, so that 0.7 stays 0.7
-    rather than becoming its rescaled neighbour."""
-    probs = [float(p) for p in probs]
-    # A sum of huge entries overflows to inf, which the check below rejects.
-    with np.errstate(over="ignore"):
-        total = float(np.sum(probs))
-    # Written so that a NaN or inf sum fails it.
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-9")
-    if abs(total - 1.0) <= 1e-12:
-        return probs
-    return [p / total for p in probs]
-
-
-def read_channel_file(path: str | Path, code: Code) -> ErrorChannel:
-    """Parse a channel spec file: one "label probability" pair per line,
-    labels resolved against the code's standard error set. Lines starting
-    with '#' and blank lines are ignored. Probabilities follow
-    normalized_probabilities."""
-    by_label = {op.label: op for op in standard_error_set(code)}
-    ops: list[ErrorOperator] = []
-    probs: list[float] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'label probability', got {raw!r}")
-        label, prob_text = parts
-        if label not in by_label:
-            raise ValueError(
-                f"{path}:{lineno}: unknown operator {label!r} for code {code.name}"
-            )
-        if label in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate operator {label!r}")
-        seen.add(label)
-        ops.append(by_label[label])
-        try:
-            probs.append(float(prob_text))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad probability {prob_text!r}") from None
-    if not ops:
-        raise ValueError(f"{path}: no channel terms found")
-    try:
-        return ErrorChannel.from_probs(ops, normalized_probabilities(probs))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _shifted_codewords(code: Code, ops: Sequence[ErrorOperator]) -> np.ndarray:

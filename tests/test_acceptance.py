@@ -53,7 +53,7 @@ def _bitflip_grid():
 def test_criterion_1_bitflip3_exact_recovery():
     """Full probability grid: fidelity 1, exact factorization, and the
     ancilla diagonal reordered as (p0, p3, p2, p1)."""
-    assert len(simplex_grid(4, 0.25)) == 35
+    assert len(simplex_grid(4)) == 35
     worst_fid = 1.0
     worst_res = 0.0
     worst_sigma = 0.0

@@ -263,6 +263,38 @@ class TestMalformedInput:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {spec}:2: bad probability 'half'\n"
 
+    # Each malformed channel file ends with the whole error line below, where
+    # {path} is the file; a file the OS cannot read as text gives the OS's
+    # own message, unprefixed.
+    @pytest.mark.parametrize("content,line", [
+        (b"I 0.7\nX_1\n", "{path}:2: expected 'label probability', got 'X_1'"),
+        (b"# nothing\n\n", "{path}: no channel terms found"),
+        (b"I 0.6\nX_1 0.5\n", "{path}: probabilities sum to 1.1, expected 1 within 1e-9"),
+        (b"I 1.1\nX_1 -0.1\n", "{path}: channel probabilities must be nonnegative"),
+        (b"I nan\nX_1 0.5\n", "{path}: probabilities sum to nan, expected 1 within 1e-9"),
+        (b"\xef\xbb\xbfI 0.5\nX_1 0.5\n",
+         "{path}:1: unknown operator '\\ufeffI' for code bitflip3"),
+        (b"I 0.5\nX_1 0.5\xff\n", None),
+        ("directory", None),
+        ("missing", None),
+    ], ids=["short-line", "empty", "sum-1.1", "negative", "nan", "utf8-bom", "not-utf8",
+            "directory", "missing"])
+    @pytest.mark.parametrize("command", ["demo", "trajectory"])
+    def test_malformed_channel_file(self, command, content, line, tmp_path, capsys):
+        spec = tmp_path / "channel.txt"
+        if content == "directory":
+            spec.mkdir()
+        elif content != "missing":
+            spec.write_bytes(content)
+        if line is None:
+            with pytest.raises((OSError, ValueError)) as exc:
+                spec.read_text()
+            line = str(exc.value)
+        argv = [command, "--code", "bitflip3", "--channel-file", str(spec),
+                "--alpha", "0.6", "--beta", "0.8"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {line.format(path=spec)}\n")
+
     @pytest.mark.parametrize("source", ["--probs", "--channel-file"])
     def test_overflowing_probabilities_warn_nothing(self, source, tmp_path, capsys):
         # A numpy RuntimeWarning would print two lines before the error.
@@ -382,6 +414,24 @@ class TestChannelNormalization:
         doc = json.loads(from_probs[1])
         assert sum(entry["p"] for entry in doc["channel"]) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("probs", [
+        THIRDS,
+        ["0.7", "0.1", "0.1", "0.1"],
+        ["0.5", "0.3", "0.15", "0.05"],
+        ["0.2500000001", "0.25", "0.25", "0.25"],
+        ["1", "0", "-0", "0"],
+    ])
+    def test_file_and_probs_give_the_same_channel(self, probs, tmp_path, monkeypatch, capsys):
+        seen = record(monkeypatch, "run_experiment")
+        chfile = tmp_path / "ch.txt"
+        chfile.write_text("".join(
+            f"{label} {p}\n" for label, p in zip(["I", "X_1", "X_2", "X_3"], probs)
+        ))
+        assert self._demo(["--probs", ",".join(probs)], capsys)[0] == 0
+        assert self._demo(["--channel-file", str(chfile)], capsys)[0] == 0
+        from_probs, from_file = ([(lb, p.hex()) for lb, p in r.channel] for r in seen)
+        assert from_probs == from_file
+
     def test_bad_sum_message_is_a_plain_float(self, tmp_path, capsys):
         chfile = tmp_path / "ch.txt"
         chfile.write_text("I 0.5\nX_1 0.5\nX_2 0.5\nX_3 0.5\n")
@@ -390,6 +440,45 @@ class TestChannelNormalization:
             assert rc == 2
             assert "sum to 2.0, expected 1" in err
             assert "np.float64" not in err
+
+
+class TestChannelFile:
+    """Channel files as the CLI reads them: "label probability" lines."""
+
+    def _demo(self, path, monkeypatch, capsys):
+        seen = record(monkeypatch, "run_experiment")
+        rc = main(["demo", "--code", "bitflip3", "--channel-file", str(path),
+                   "--alpha", "0.6", "--beta", "0.8"])
+        return rc, capsys.readouterr(), seen
+
+    def test_parse_and_apply(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "channel.txt"
+        path.write_text("# bit-flip mixture\nI 0.7\nX_2 0.2\nX_3 0.1\n")
+        rc, captured, (report,) = self._demo(path, monkeypatch, capsys)
+        assert (rc, captured.err) == (0, "")
+        assert report.channel == (("I", 0.7), ("X_2", 0.2), ("X_3", 0.1))
+        assert abs(sum(p for _, p in report.channel) - 1.0) <= 1e-15
+
+    def test_unknown_label(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "channel.txt"
+        path.write_text("I 0.5\nZ_1 0.5\n")
+        rc, captured, seen = self._demo(path, monkeypatch, capsys)
+        assert (rc, seen) == (2, [])
+        assert captured.err == f"error: {path}:2: unknown operator 'Z_1' for code bitflip3\n"
+
+    def test_bad_sum(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "channel.txt"
+        path.write_text("I 0.5\nX_1 0.4\n")
+        rc, captured, seen = self._demo(path, monkeypatch, capsys)
+        assert (rc, seen) == (2, [])
+        assert captured.err == f"error: {path}: probabilities sum to 0.9, expected 1 within 1e-9\n"
+
+    def test_duplicate_label(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "channel.txt"
+        path.write_text("I 0.5\nI 0.5\n")
+        rc, captured, seen = self._demo(path, monkeypatch, capsys)
+        assert (rc, seen) == (2, [])
+        assert captured.err == f"error: {path}:2: duplicate operator 'I'\n"
 
 
 def bitflip3_report():

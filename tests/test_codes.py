@@ -17,7 +17,7 @@ from uqec.codes import (
 from uqec.linalg import basis_vector
 
 from dense import conjugate, controlled_not, operator_matrix
-from oracles import X1Q, Y1Q, Z1Q, embed_brute
+from oracles import X1Q, Y1Q, Z1Q, embed_brute, pauli_brute
 
 # Signed supports of the 5-qubit logical vectors, re-derived from the
 # bitstring lists independently of the implementation's tables.
@@ -139,6 +139,12 @@ class TestErrorOperator:
             assert np.all(np.sum(np.abs(m) > 0, axis=1) == 1)
             nonzero = m[np.abs(m) > 0]
             assert set(np.unique(nonzero)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_every_standard_operator_matches_brute_force(self, name):
+        code = get_code(name)
+        for op in standard_error_set(code):
+            assert np.array_equal(operator_matrix(op), pauli_brute(op.label, code.n)), op.label
 
     def test_conjugate_matches_dense_product(self):
         rng = np.random.default_rng(37)

@@ -21,7 +21,6 @@ from uqec.recovery import (
     KLViolationError,
     RecoveryMatrix,
     build_recovery,
-    read_channel_file,
     recover_pure_state,
     recovery_for,
     recovery_row_order,
@@ -465,33 +464,6 @@ class TestConventionalRecovery:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError, match="8-dimensional"):
             conventional_recovery_bitflip3(DensityMatrix.from_state(np.array([1.0, 0.0])))
-
-
-class TestChannelFile:
-    def test_parse_and_apply(self, tmp_path):
-        path = tmp_path / "channel.txt"
-        path.write_text("# bit-flip mixture\nI 0.7\nX_2 0.2\nX_3 0.1\n")
-        ch = read_channel_file(path, bitflip3())
-        assert ch.labels == ("I", "X_2", "X_3")
-        assert abs(sum(ch.probabilities) - 1.0) <= 1e-15
-
-    def test_unknown_label(self, tmp_path):
-        path = tmp_path / "channel.txt"
-        path.write_text("I 0.5\nZ_1 0.5\n")
-        with pytest.raises(ValueError, match="unknown operator 'Z_1'"):
-            read_channel_file(path, bitflip3())
-
-    def test_bad_sum(self, tmp_path):
-        path = tmp_path / "channel.txt"
-        path.write_text("I 0.5\nX_1 0.4\n")
-        with pytest.raises(ValueError, match="sum to"):
-            read_channel_file(path, bitflip3())
-
-    def test_duplicate_label(self, tmp_path):
-        path = tmp_path / "channel.txt"
-        path.write_text("I 0.5\nI 0.5\n")
-        with pytest.raises(ValueError, match="duplicate"):
-            read_channel_file(path, bitflip3())
 
 
 class TestRecoverPureState:
