@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterator, Sequence
@@ -45,9 +47,14 @@ DEFAULT_TOL = 1e-10
 TRAJECTORY_ALPHA = 1e-3
 
 # Uniforms sorted at a time when counting trajectory draws (_term_counts).
-# At 4M draws on shor9, chunks of 2**12 to 2**16 ran equally fast and one
-# sort of the whole draw 1.5x slower; memory is one chunk, whatever --samples.
+# At 4M draws on shor9 over 2 CPUs, chunks of 2**14 to 2**17 ran equally
+# fast (24-26 ms a count), 2**12 up to 1.2x slower, and one sort of the
+# whole draw (a single span) 2.5x slower. Memory is one chunk per span,
+# whatever --samples.
 _COUNT_CHUNK = 2**15
+
+# Most threads a trajectory count uses: its memory is one chunk per span.
+_MAX_SPANS = 8
 
 # Input states exercised by the verification grids.
 INPUT_STATES = (
@@ -402,22 +409,92 @@ def _term_counts(
 ) -> np.ndarray:
     """How many of `samples` draws land on each term: the counts of numpy's
     Generator.choice(len(probs), size=samples, p=probs) on `rng`, bit for
-    bit, in memory that does not grow with `samples`.
+    bit, in memory that does not grow with `samples`. `rng` is left where
+    that choice call leaves it.
 
     Generator.choice forms cdf = probs.cumsum() / its last entry, draws
     u = rng.random(samples) and gives each draw the term #{j : cdf_j <= u}.
     So #{u < cdf_j} draws land on term j or below, and a sorted chunk of u
-    gives that number by one searchsorted of the cdf. Generator.random takes
-    one 64-bit word per double, so successive chunks are exactly the stream
-    that one random(samples) call draws.
+    gives that number by one searchsorted of the cdf.
+
+    The draw is cut into contiguous spans of whole chunks, each counted on
+    its own thread (the calling thread counts the first); numpy releases
+    the GIL while it fills and sorts a chunk. Generator.random takes one
+    64-bit word per double, and PCG64's advance(lo) skips lo words, so a
+    copy of the generator advanced to a span's first draw lo gives exactly
+    the uniforms lo, lo + 1, ... of the one random(samples) stream. The
+    counts are integers, so their sum does not depend on how many spans
+    there are. A span that raises is raised here once every span has
+    ended.
     """
+    bitgen = rng.bit_generator
+    # Philox has an advance too, but it steps a counter of four words.
+    if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(
+            "trajectory counts need a PCG64 or PCG64DXSM bit generator, whose "
+            f"advance(n) skips n draws; got {type(bitgen).__name__}"
+        )
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
+    start = bitgen.state
+    chunks = -(-samples // _COUNT_CHUNK)
+    spans = _span_count(chunks)
+    results: list = [None] * spans
+
+    def count(w: int) -> None:
+        lo = chunks * w // spans * _COUNT_CHUNK
+        hi = min(chunks * (w + 1) // spans * _COUNT_CHUNK, samples)
+        try:
+            span_bitgen = type(bitgen)(0)
+            span_bitgen.state = start
+            span_bitgen.advance(lo)
+            results[w] = _count_span(cdf, span_bitgen, hi - lo)
+        except BaseException as exc:  # re-raised below, after every join
+            results[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, spans):
+            threads.append(threading.Thread(target=count, args=(w,)))
+            threads[-1].start()
+        count(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    # advance() also drops the 32-bit half-word that bitgen may hold for its
+    # next 32-bit draw; random() never touches it, so it is put back.
+    bitgen.advance(samples)
+    bitgen.state = {
+        **bitgen.state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"],
+    }
+    return np.diff(sum(results), prepend=0)
+
+
+def _span_count(chunks: int) -> int:
+    """Spans to count a draw of `chunks` chunks in: one per CPU this process
+    may run on, at most one per chunk and at most _MAX_SPANS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, chunks, _MAX_SPANS)
+
+
+def _count_span(cdf: np.ndarray, bitgen: np.random.BitGenerator, n: int) -> np.ndarray:
+    """#{u < cdf_j} for each j over the next n uniforms that Generator.random
+    draws from `bitgen`, a chunk at a time in one reused buffer."""
+    draw = np.random.Generator(bitgen).random
     at_or_below = np.zeros(len(cdf), dtype=np.int64)
-    for start in range(0, samples, _COUNT_CHUNK):
-        chunk = np.sort(rng.random(min(_COUNT_CHUNK, samples - start)))
+    buffer = np.empty(min(_COUNT_CHUNK, n))
+    for lo in range(0, n, _COUNT_CHUNK):
+        chunk = buffer[: min(_COUNT_CHUNK, n - lo)]
+        draw(out=chunk)
+        chunk.sort()
         at_or_below += np.searchsorted(chunk, cdf, side="left")
-    return np.diff(at_or_below, prepend=0)
+    return at_or_below
 
 
 def _sidak_z_bound(terms: int) -> float:

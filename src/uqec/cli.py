@@ -123,7 +123,12 @@ def _channel_file_terms(path: str, ops, code_name: str) -> tuple[list, list[floa
     by_label = {op.label: op for op in ops}
     terms: dict[str, float] = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise CliError(
+            f"{path}: not valid UTF-8 (byte {byte:#04x} at offset {exc.start}: {exc.reason})"
+        ) from exc
     except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,9 +1,13 @@
 import itertools
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from uqec import analysis
 from uqec.analysis import (
     CONDITIONS,
     DEFAULT_TOL,
@@ -348,9 +352,10 @@ def _one_hot(k, i):
 
 class TestTermCounts:
     """_term_counts gives the counts of numpy's rng.choice draw, bit for bit,
-    on either side of each chunk boundary."""
+    on either side of each chunk and span boundary, and leaves the generator
+    where that draw leaves it."""
 
-    SAMPLES = (1, 32767, 32768, 32769, 100_003)
+    SAMPLES = (1, 32767, 32768, 32769, 65536, 65537, 100_003)
 
     @pytest.mark.parametrize("samples", SAMPLES)
     @pytest.mark.parametrize("seed", [0, 7])
@@ -376,9 +381,78 @@ class TestTermCounts:
         assert np.array_equal(counts, choice_counts(probs, samples, 3))
         assert counts.sum() == samples
 
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("spans", [1, 2, 3, 7])
+    def test_every_span_count(self, spans, samples, monkeypatch):
+        # 7 spans leave some spans without a chunk below 7 chunks.
+        monkeypatch.setattr(analysis, "_span_count", lambda chunks: spans)
+        probs = np.random.default_rng(spans).dirichlet(np.ones(28))
+        rng = np.random.default_rng(samples)
+        counts = _term_counts(probs, samples, rng)
+        assert np.array_equal(counts, choice_counts(probs, samples, samples))
+        after_choice = np.random.default_rng(samples)
+        after_choice.choice(len(probs), size=samples, p=probs)
+        assert rng.bit_generator.state == after_choice.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_leaves_a_held_half_word_as_choice_does(self, bit_generator, monkeypatch):
+        # A 32-bit draw leaves half a word held for the next one; random()
+        # and so choice() leave it there.
+        monkeypatch.setattr(analysis, "_span_count", lambda chunks: 2)
+        probs = np.array([0.2, 0.5, 0.3])
+        rng, after_choice = (np.random.Generator(bit_generator(9)) for _ in range(2))
+        for g in (rng, after_choice):
+            g.integers(0, 10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        counts = _term_counts(probs, 70_000, rng)
+        drawn = after_choice.choice(3, size=70_000, p=probs)
+        assert np.array_equal(counts, np.bincount(drawn, minlength=3))
+        assert rng.bit_generator.state == after_choice.bit_generator.state
+        assert rng.integers(0, 2**32, dtype=np.uint32) == after_choice.integers(
+            0, 2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_generator_without_exact_advance_is_refused(self, bit_generator):
+        # MT19937 has no advance; Philox's steps a counter of four draws.
+        rng = np.random.Generator(bit_generator(1))
+        with pytest.raises(TypeError, match=bit_generator.__name__):
+            _term_counts(np.array([0.5, 0.5]), 100, rng)
+
+    @pytest.mark.parametrize("on_calling_thread", [True, False])
+    def test_failed_span_is_raised_after_every_span_ends(self, on_calling_thread, monkeypatch):
+        # 100003 draws are 4 chunks: span 0 (the calling thread's) and span 1
+        # take 32768 draws each, span 2 the last 34467.
+        monkeypatch.setattr(analysis, "_span_count", lambda chunks: 3)
+        ended = []
+        lock = threading.Lock()
+
+        def count_span(cdf, bitgen, n):
+            if on_calling_thread:
+                fails = threading.current_thread() is threading.main_thread()
+            else:
+                fails = n == 34467
+            if fails:
+                raise ValueError("span failed")
+            time.sleep(0.05)
+            with lock:
+                ended.append(n)
+            return np.zeros(len(cdf), dtype=np.int64)
+
+        monkeypatch.setattr(analysis, "_count_span", count_span)
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match="span failed"):
+            _term_counts(np.array([0.5, 0.5]), 100_003, np.random.default_rng(1))
+        assert len(ended) == 2
+        assert threading.active_count() == threads_before
+
+    def test_span_count_follows_the_usable_cpus(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert analysis._span_count(1) == 1
+        assert analysis._span_count(1000) == min(cpus, 8)
+
     def test_shor9_4m_samples_in_flat_memory(self):
         # 4M uniforms and 4M indices held at once take 61 MB; the count
-        # holds one chunk of 2**15 uniforms at a time.
+        # holds one chunk of 2**15 uniforms per span, at most 8 spans.
         probs = np.random.default_rng(5).dirichlet(np.ones(28))
         channel = channel_for("shor9", probs)
         recovery_for("shor9")  # the cached R is built outside the trace

@@ -1,7 +1,8 @@
 """Property tests (hypothesis), skipped where hypothesis is not installed:
 
 - the trajectory counts of _term_counts equal those of numpy's rng.choice
-  draw, bit for bit, for any channel, any number of samples and any seed;
+  draw, bit for bit, for any channel, any number of samples, any seed and
+  any number of spans, and leave the generator where that draw leaves it;
 - a stacked pass of run_experiments gives each state the report, bit for
   bit, that a pass of that state alone gives, on every code, for channels
   with any number of nonzero terms. BLAS results can depend on the shapes
@@ -60,10 +61,15 @@ def channels(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(channels(), st.integers(1, 200_000), st.integers(0, 2**64 - 1))
-def test_same_counts_as_rng_choice(probs, samples, seed):
-    counts = _term_counts(probs, samples, np.random.default_rng(seed))
+@given(channels(), st.integers(1, 200_000), st.integers(0, 2**64 - 1), st.integers(1, 8))
+def test_same_counts_as_rng_choice(probs, samples, seed, spans):
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(analysis, "_span_count", lambda chunks: spans):
+        counts = _term_counts(probs, samples, rng)
     assert np.array_equal(counts, choice_counts(probs, samples, seed))
+    after_choice = np.random.default_rng(seed)
+    after_choice.choice(len(probs), size=samples, p=probs)
+    assert rng.bit_generator.state == after_choice.bit_generator.state
 
 
 @st.composite

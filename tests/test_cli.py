@@ -264,8 +264,8 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: {spec}:2: bad probability 'half'\n"
 
     # Each malformed channel file ends with the whole error line below, where
-    # {path} is the file; a file the OS cannot read as text gives the OS's
-    # own message, unprefixed.
+    # {path} is the file; a file the OS cannot open gives the OS's own
+    # message, which names the file.
     @pytest.mark.parametrize("content,line", [
         (b"I 0.7\nX_1\n", "{path}:2: expected 'label probability', got 'X_1'"),
         (b"# nothing\n\n", "{path}: no channel terms found"),
@@ -274,7 +274,8 @@ class TestMalformedInput:
         (b"I nan\nX_1 0.5\n", "{path}: probabilities sum to nan, expected 1 within 1e-9"),
         (b"\xef\xbb\xbfI 0.5\nX_1 0.5\n",
          "{path}:1: unknown operator '\\ufeffI' for code bitflip3"),
-        (b"I 0.5\nX_1 0.5\xff\n", None),
+        (b"I 0.5\nX_1 0.5\xff\n",
+         "{path}: not valid UTF-8 (byte 0xff at offset 13: invalid start byte)"),
         ("directory", None),
         ("missing", None),
     ], ids=["short-line", "empty", "sum-1.1", "negative", "nan", "utf8-bom", "not-utf8",
