@@ -13,11 +13,8 @@ formed: its residual is taken in the span of the ancilla factor
 (check_product_form).
 
 Every stage takes a stack of states along a leading axis, so the input
-states of a channel take one pass. Each state's numbers are bit for bit those
-of a stack of one: numpy's stacked matmul and QR make the same BLAS or LAPACK
-call per state, with the same shapes, and the reductions numpy may order
-differently over a stack (the residual's dot, the "(outside)" sum, the
-syndrome total) stay per state.
+states of a channel take one pass, with each state's numbers bit for bit
+those of a stack of one (README, "One pass per channel").
 
 The functions here return records (RecoveryReport, TrajectoryReport); every
 output format of them is written by the command-line front end (cli).
@@ -30,6 +27,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 from typing import Iterator, Sequence
 
@@ -46,11 +44,8 @@ DEFAULT_TOL = 1e-10
 # at most this, whatever the number of channel terms (Sidak correction).
 TRAJECTORY_ALPHA = 1e-3
 
-# Uniforms sorted at a time when counting trajectory draws (_term_counts).
-# At 4M draws on shor9 over 2 CPUs, chunks of 2**14 to 2**17 ran equally
-# fast (24-26 ms a count), 2**12 up to 1.2x slower, and one sort of the
-# whole draw (a single span) 2.5x slower. Memory is one chunk per span,
-# whatever --samples.
+# Uniforms sorted at a time when counting trajectory draws (_term_counts),
+# in one buffer per span whatever --samples (README, "trajectory").
 _COUNT_CHUNK = 2**15
 
 # Most threads a trajectory count uses: its memory is one chunk per span.
@@ -75,37 +70,54 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
+class AncillaBlock:
+    """One state's reduced ancilla sigma as check_product_form returns it:
+    its block on `rows`, with +0.0 elsewhere."""
+
+    block: np.ndarray
+    rows: np.ndarray
+    dim: int
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """sigma in full, read-only, formed on first read."""
+        if self.rows.size == self.dim:
+            return self.block
+        sigma = np.zeros((self.dim, self.dim))
+        sigma[np.ix_(self.rows, self.rows)] = self.block
+        sigma.setflags(write=False)
+        return sigma
+
+
+@dataclass(frozen=True, eq=False)
 class FactorizationResult:
     """Both partial traces of one recovered state and its product-form
     residual."""
 
     reduced_qubit: DensityMatrix
-    reduced_ancilla: DensityMatrix
+    reduced_ancilla: AncillaBlock
     residual: float
 
 
-def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Compare each state A[s] A[s]^T of the factor stack `a` (as
     recover_pure_state returns it) against the product q (x) sigma of its own
     partial traces, q that of the first qubit and sigma that of the rest (the
-    ancilla). Returns the read-only stacks of q and sigma and each state's
-    residual.
+    ancilla). Returns the read-only stack of q, that of sigma's blocks on
+    `rows`, `rows` itself, and each state's residual.
 
     The factor A of rho_out = A A^T splits into the row blocks A_0, A_1 of
     the first qubit, and each partial trace is a Gram product: q from
-    A.reshape(2, rest * k), a = G G^T with G = [A_0 A_1]. The residual is
+    A.reshape(2, rest * k), sigma = G G^T with G = [A_0 A_1]. The residual is
     then taken in the span of G's columns, never at full dimension: with
     G = Q R (Householder QR, when G has fewer columns than rows) each A_i is
-    Q R_i for the column block R_i of R, so rho_out - q (x) a is
+    Q R_i for the column block R_i of R, so rho_out - q (x) sigma is
     (I (x) Q)(S S^T - q (x) R R^T)(I (x) Q)^T with S = [R_0; R_1]. Q has
     orthonormal columns, so the Frobenius norms are equal; the difference is
     still formed entry by entry, so no cancellation floor appears. When G is
-    not thin, R = G and S = A, the dense formula itself.
-
-    q and sigma are Gram products of reorderings of A, which
-    recover_pure_state checked, so they are not checked again. sigma is
-    formed by linalg.gram; q, R R^T and S S^T keep numpy's `b @ b.T`
-    (README, "Gram products").
+    not thin, R = G and S = A, the dense formula itself, and `rows` is every
+    row; otherwise `rows` are G's rows nonzero in some state, off which
+    sigma is +0.0 (README, "Gram products").
     """
     s, d, k = a.shape
     rest = d // 2
@@ -113,12 +125,20 @@ def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[floa
     g = blocks.transpose(0, 2, 1, 3).reshape(s, rest, 2 * k)
     b = blocks.reshape(s, 2, rest * k)
     q = b @ np.swapaxes(b, -1, -2)
-    sigma = gram(g)
     if 2 * k < rest:
+        rows = np.flatnonzero(g.any(axis=(0, 2)))
+        # Only on the same side of OpenBLAS's small-kernel line, M N K <= 1e6,
+        # does the block keep the whole product's bits.
+        if (rows.size**2 * 2 * k <= 10**6) == (rest**2 * 2 * k <= 10**6):
+            sigma = gram(g[:, rows])
+        else:
+            sigma = gram(g)[:, rows[:, None], rows]
         r = np.linalg.qr(g, mode="r")
         r_gram = r @ r.transpose(0, 2, 1)
     else:
-        r, r_gram = g, sigma
+        rows = np.arange(rest)
+        r = g
+        sigma = r_gram = gram(g)
     m = r.shape[1]
     stacked = r.reshape(s, m, 2, -1).transpose(0, 2, 1, 3).reshape(s, 2 * m, -1)
     diff = stacked @ stacked.transpose(0, 2, 1)
@@ -127,9 +147,9 @@ def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[floa
     diff.reshape(s, 2, m, 2, m)[...] -= q[:, :, None, :, None] * r_gram[:, None, :, None, :]
     # np.linalg.norm of each state's difference, whose dot stays per state.
     residuals = [math.sqrt(x.dot(x)) for x in diff.reshape(s, -1)]
-    q.setflags(write=False)
-    sigma.setflags(write=False)
-    return q, sigma, residuals
+    for out in (q, sigma, rows):
+        out.setflags(write=False)
+    return q, sigma, rows, residuals
 
 
 def fidelity_pure(q: np.ndarray, states: Sequence[PureQubitState]) -> list[float]:
@@ -140,17 +160,17 @@ def fidelity_pure(q: np.ndarray, states: Sequence[PureQubitState]) -> list[float
 
 
 def syndrome_distribution(
-    sigma_prime: np.ndarray, class_labels: Sequence[str]
+    diagonals: np.ndarray, class_labels: Sequence[str]
 ) -> list[list[tuple[str, float]]]:
-    """For each ancilla state of the stack sigma_prime, pair its diagonal
-    with error-class labels, one per leading diagonal slot; any mass on the
+    """For each ancilla diagonal of the stack `diagonals`, pair its entries
+    with error-class labels, one per leading slot; any mass on the
     remaining (completion) slots is aggregated under "(outside)". Off-diagonal
     mass is not read here: run_experiments weighs it against the tolerance."""
     k = len(class_labels)
     out = []
-    for diag in np.diagonal(sigma_prime, axis1=1, axis2=2):
+    for diag in diagonals:
         pairs = list(zip(class_labels, diag[:k].tolist()))
-        if sigma_prime.shape[-1] > k:
+        if diagonals.shape[-1] > k:
             pairs.append(("(outside)", float(diag[k:].sum())))
         out.append(pairs)
     return out
@@ -221,13 +241,16 @@ def run_experiments(
     rec = recovery_for(code.name)
     _require_channel_in_error_set(channel, code, rec)
     a = recover_pure_state(rec, channel, [encode_state(code, psi) for psi in states])
-    q, sigma, residuals = check_product_form(a)
+    q, sigma, rows, residuals = check_product_form(a)
     fids = fidelity_pure(q, states)
-    syndromes = syndrome_distribution(sigma, rec.class_labels)
     s, n = sigma.shape[:2]
-    # Past the first entry of each flattened sigma, every run of n + 1
+    # sigma's whole diagonal, so that "(outside)" sums every slot.
+    diagonals = np.zeros((s, rec.ancilla_dim))
+    diagonals[:, rows] = np.diagonal(sigma, axis1=1, axis2=2)
+    syndromes = syndrome_distribution(diagonals, rec.class_labels)
+    # Past the first entry of each flattened block, every run of n + 1
     # entries ends on a diagonal one, so this view holds exactly the
-    # off-diagonal.
+    # off-diagonal; sigma is +0.0 off the block.
     off = sigma.reshape(s, -1)[:, 1:].reshape(s, n - 1, n + 1)[:, :, :n]
     max_offs = np.abs(off).max(axis=(1, 2), initial=0.0).tolist()
     terms = tuple((op.label, float(p)) for p, op in channel.terms)
@@ -247,7 +270,7 @@ def run_experiments(
             beta=psi.beta,
             fidelity=fids[i],
             factorization=FactorizationResult(
-                DensityMatrix(q[i]), DensityMatrix(sigma[i]), residuals[i]
+                DensityMatrix(q[i]), AncillaBlock(sigma[i], rows, rec.ancilla_dim), residuals[i]
             ),
             max_offdiagonal=max_offs[i],
             syndrome=tuple(syndromes[i]),
@@ -418,14 +441,9 @@ def _term_counts(
     gives that number by one searchsorted of the cdf.
 
     The draw is cut into contiguous spans of whole chunks, each counted on
-    its own thread (the calling thread counts the first); numpy releases
-    the GIL while it fills and sorts a chunk. Generator.random takes one
-    64-bit word per double, and PCG64's advance(lo) skips lo words, so a
-    copy of the generator advanced to a span's first draw lo gives exactly
-    the uniforms lo, lo + 1, ... of the one random(samples) stream. The
-    counts are integers, so their sum does not depend on how many spans
-    there are. A span that raises is raised here once every span has
-    ended.
+    its own thread from a copy of the generator advanced to the span's first
+    draw, which gives exactly that span's uniforms (README, "trajectory"). A
+    span that raises is raised here once every span has ended.
     """
     bitgen = rng.bit_generator
     # Philox has an advance too, but it steps a counter of four words.

@@ -123,11 +123,12 @@ def _channel_file_terms(path: str, ops, code_name: str) -> tuple[list, list[floa
     by_label = {op.label: op for op in ops}
     terms: dict[str, float] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8-sig")  # past a byte-order mark, if any
     except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
+        at = exc.start + len(data) - len(exc.object)  # exc.object follows the mark
         raise CliError(
-            f"{path}: not valid UTF-8 (byte {byte:#04x} at offset {exc.start}: {exc.reason})"
+            f"{path}: not valid UTF-8 (byte {data[at]:#04x} at offset {at}: {exc.reason})"
         ) from exc
     except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from exc

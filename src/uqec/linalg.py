@@ -114,11 +114,8 @@ def orthogonality_deviation(m: np.ndarray, split: tuple | None = None) -> float:
 
 
 def gram(b: np.ndarray) -> np.ndarray:
-    """b @ b^T for a matrix b, or for each matrix of a stack, by one gemm:
-    the copy of the transpose is a second buffer, so numpy calls gemm rather
-    than syrk and its scalar mirror loop. The two routes give the same bits
-    only at some shapes (README, "Gram products").
-    """
+    """b @ b^T for a matrix b, or for each matrix of a stack, by gemm, not
+    syrk and its mirror loop (README, "Gram products")."""
     return b @ np.swapaxes(b, -1, -2).copy()
 
 

@@ -189,11 +189,8 @@ class RecoveryMatrix:
         top, dense, block = self._split
         w = v[:, None] if v.ndim == 1 else v
         d, k = self.dim, w.shape[-1]
-        # With no unit rows nothing is skipped; with no dense rows (bitflip3's
-        # 8 x 8) the product costs less than a gather. OpenBLAS's dgemm takes
-        # its small-matrix kernel, whose last bits differ, when M N K <= 1e6:
-        # where the dense block and R fall on either side of that line, only
-        # the full product keeps R's bits.
+        # The full product where nothing is skipped, where it costs less than
+        # a gather, and across OpenBLAS's small-kernel line (README).
         if not 0 < dense.size < d or (dense.size * d * k <= 10**6) != (d * d * k <= 10**6):
             return self.matrix @ v
         out = np.take(w, top, axis=-2)

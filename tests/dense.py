@@ -10,10 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from uqec.analysis import FactorizationResult
-from uqec.codes import Code, ErrorOperator, get_code, standard_error_set
-from uqec.linalg import ORTHONORMAL_TOL, gram_schmidt_extend
-from uqec.recovery import ErrorChannel, RecoveryMatrix, recovery_for
+from uqec.analysis import FactorizationResult, run_experiments
+from uqec.codes import Code, ErrorOperator, encode_state, get_code, standard_error_set
+from uqec.linalg import ORTHONORMAL_TOL, gram, gram_schmidt_extend
+from uqec.recovery import ErrorChannel, RecoveryMatrix, recover_pure_state, recovery_for
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -191,6 +191,56 @@ def partial_trace(rho: np.ndarray, split: QubitSplit, keep: str = "first") -> np
     if keep == "rest":
         return np.einsum("ijik->jk", t)
     raise ValueError(f"keep must be 'first' or 'rest', got {keep!r}")
+
+
+def full_sigma(block: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
+    """The dim x dim ancilla Gram (or a stack of them) from its block on
+    `rows`, as analysis.check_product_form returns them: +0.0 off the
+    block."""
+    sigma = np.zeros(block.shape[:-2] + (dim, dim))
+    sigma[..., rows[:, None], rows] = block
+    return sigma
+
+
+def whole_gram_reads(a: np.ndarray, class_labels: Sequence[str]) -> tuple:
+    """The ancilla Gram sigma = G G^T of each state of the factor stack `a`,
+    formed from all of G = [A_0 A_1] by linalg.gram, with what a report reads
+    from it: each state's syndrome (sigma's diagonal, its slots past the
+    labels summed as "(outside)") and largest off-diagonal magnitude."""
+    s, d, k = a.shape
+    rest = d // 2
+    sigma = gram(a.reshape(s, 2, rest, k).transpose(0, 2, 1, 3).reshape(s, rest, 2 * k))
+    n = len(class_labels)
+    syndromes = [
+        list(zip(class_labels, diag[:n].tolist()))
+        + ([("(outside)", float(diag[n:].sum()))] if rest > n else [])
+        for diag in np.diagonal(sigma, axis1=1, axis2=2)
+    ]
+    off = sigma.reshape(s, -1)[:, 1:].reshape(s, rest - 1, rest + 1)[:, :, :rest]
+    return sigma, syndromes, np.abs(off).max(axis=(1, 2), initial=0.0).tolist()
+
+
+def assert_ancilla_is_the_whole_gram(
+    name: str, channel: ErrorChannel, states: Sequence, tol: float
+) -> int:
+    """Each report of one run_experiments pass has, bit for bit and sign for
+    sign, the sigma, syndrome and max_offdiagonal of the whole Gram
+    (whole_gram_reads). Returns how many held a block smaller than sigma."""
+    code = get_code(name)
+    rec = recovery_for(name)
+    reports = run_experiments(code, channel, states, tol)
+    a = recover_pure_state(rec, channel, [encode_state(code, psi) for psi in states])
+    sigma, syndromes, max_offs = whole_gram_reads(a, rec.class_labels)
+    smaller = 0
+    for report, want, syndrome, max_off in zip(reports, sigma, syndromes, max_offs):
+        ancilla = report.factorization.reduced_ancilla
+        assert ancilla.matrix.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(ancilla.matrix), np.signbit(want))
+        assert [lb for lb, _ in report.syndrome] == [lb for lb, _ in syndrome]
+        got = np.array([p for _, p in report.syndrome] + [report.max_offdiagonal])
+        assert got.tobytes() == np.array([p for _, p in syndrome] + [max_off]).tobytes()
+        smaller += ancilla.rows.size < rec.ancilla_dim
+    return smaller
 
 
 def check_product_form_dense(rho_out: DensityMatrix, split: QubitSplit) -> FactorizationResult:

@@ -39,7 +39,9 @@ from uqec.recovery import ErrorChannel, recover_pure_state, recovery_for
 from dense import (
     DensityMatrix,
     QubitSplit,
+    assert_ancilla_is_the_whole_gram,
     check_product_form_dense,
+    full_sigma,
     partial_trace,
     recover_block,
     recovered_logical,
@@ -102,7 +104,8 @@ class TestCheckProductForm:
             product = np.kron(rng.standard_normal((2, 1)), rng.standard_normal((rest, k)))
             a = product + eps * rng.standard_normal((2 * rest, k))
         a /= np.linalg.norm(a)
-        qubit, ancilla, (residual,) = check_product_form(a[None])
+        qubit, block, rows, (residual,) = check_product_form(a[None])
+        ancilla = full_sigma(block, rows, rest)
         dense = check_product_form_dense(DensityMatrix(a @ a.T), QubitSplit(2, rest))
         assert abs(residual - dense.residual) <= 1e-15
         assert (residual <= DEFAULT_TOL) == (dense.residual <= DEFAULT_TOL)
@@ -110,6 +113,60 @@ class TestCheckProductForm:
             assert residual > DEFAULT_TOL
         assert np.max(np.abs(qubit[0] - dense.reduced_qubit.matrix)) <= 1e-15
         assert np.max(np.abs(ancilla[0] - dense.reduced_ancilla.matrix)) <= 1e-15
+
+
+def random_case(name, k, s, rng):
+    """A channel on k random operators of the code's error set, with
+    Dirichlet weights, and s random real input states."""
+    ops = standard_error_set(get_code(name))
+    probs = np.zeros(len(ops))
+    probs[rng.choice(len(ops), size=k, replace=False)] = rng.dirichlet(np.ones(k))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=s)
+    states = [PureQubitState(float(np.cos(t)), float(np.sin(t))) for t in angles]
+    return ErrorChannel.from_probs(ops, probs / probs.sum()), states
+
+
+class TestAncillaOnNonzeroRows:
+    """When G = [A_0 A_1] is thin, check_product_form forms sigma on G's
+    nonzero rows alone, or gathers that block from the whole Gram where the
+    block's gemm would take the other OpenBLAS kernel, and a report forms
+    sigma in full only when its matrix is read. Every number a report
+    carries, and sigma's bytes and signs, must be those of the whole Gram."""
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_every_term_count_reads_as_the_whole_gram(self, name):
+        rng = np.random.default_rng(22)
+        smaller = 0
+        for k in range(1, len(standard_error_set(get_code(name))) + 1):
+            for s in (1, 5):
+                channel, states = random_case(name, k, s, rng)
+                smaller += assert_ancilla_is_the_whole_gram(name, channel, states, DEFAULT_TOL)
+        # Not every state kept all of sigma: the block route was taken.
+        assert smaller > 0
+
+    def test_matrix_is_formed_once_and_read_only(self):
+        (report,) = run_experiments("shor9", channel_for("shor9", np.eye(28)[5]), INPUT_STATES[2:3])
+        ancilla = report.factorization.reduced_ancilla
+        assert ancilla.rows.size < ancilla.dim == 256
+        sigma = ancilla.matrix
+        assert sigma.shape == (256, 256)
+        assert ancilla.matrix is sigma
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0, 0] = 2.0
+
+    def test_one_term_shor9_pass_forms_no_whole_sigma(self):
+        # The stack of five whole 256 x 256 ancilla Grams alone is 2.6 MB.
+        channel = channel_for("shor9", np.eye(28)[3])
+        run_experiments("shor9", channel, INPUT_STATES)
+        tracemalloc.start()
+        try:
+            reports = run_experiments("shor9", channel, INPUT_STATES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert peak < 512 * 2**10
 
 
 class TestFidelityPure:
@@ -129,8 +186,8 @@ class TestFidelityPure:
 
 
 def one_syndrome(sigma, labels):
-    """syndrome_distribution of a stack of the one ancilla matrix sigma."""
-    (dist,) = syndrome_distribution(np.asarray(sigma)[None], labels)
+    """syndrome_distribution of the diagonal of the one ancilla matrix sigma."""
+    (dist,) = syndrome_distribution(np.diag(sigma)[None], labels)
     return dist
 
 
@@ -162,7 +219,7 @@ class TestSyndromeDistribution:
         assert one_syndrome(m, ("I", "X_1")) == [("I", 0.7), ("X_1", 0.2), ("(outside)", 0.1)]
 
     def test_one_distribution_per_state_of_a_stack(self):
-        stack = np.stack([np.diag([0.5, 0.3, 0.2]), np.diag([0.1, 0.1, 0.8])])
+        stack = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
         assert syndrome_distribution(stack, ("I", "X_1")) == [
             [("I", 0.5), ("X_1", 0.3), ("(outside)", 0.2)],
             [("I", 0.1), ("X_1", 0.1), ("(outside)", 0.8)],
@@ -233,7 +290,7 @@ class TestScopeOfTheClaim:
     def recover(name, f, s, probs):
         x = encoding_unitary(get_code(name)) @ np.kron(f, s)
         rho = recover_block(recovery_for(name), channel_for(name, probs), x)
-        qubit, _, (residual,) = check_product_form(rho)
+        qubit, _, _, (residual,) = check_product_form(rho)
         return qubit[0], residual
 
     @pytest.mark.parametrize("name", CODE_NAMES)

@@ -15,11 +15,17 @@
   through a unit row, as gemm makes it. BLAS bits depend on the shapes
   multiplied, so on a BLAS where the dense block's product parts from the
   full one at some term count, this fails;
-- every Gram product that check_product_form forms with linalg.gram (one
-  gemm: the ancilla Gram) is byte for byte numpy's `b @ b.T` (syrk), the
-  route it replaced, and exactly symmetric, and each residual is the one
-  that syrk Grams give. gemm and syrk agree only at some shapes, so on a
-  BLAS where they part at these, this fails;
+- the ancilla Gram that check_product_form forms with linalg.gram (one
+  gemm) is, in each report, byte for byte numpy's `b @ b.T` (syrk) of the
+  whole G, the route it replaced, and exactly symmetric, and each residual
+  is the one that syrk Grams give. gemm and syrk agree only at some
+  shapes, so on a BLAS where they part at these, this fails;
+- sigma, which check_product_form forms on G's nonzero rows alone when G
+  is thin, reads as the whole Gram: each report's sigma (formed on read),
+  syndrome and max_offdiagonal are, bit for bit and sign for sign, those
+  that the whole G G^T gives. gemm's bits depend on the shapes multiplied,
+  so on a BLAS where the block's product parts from the whole one, this
+  fails;
 - a mixed input rho_0 = F F^T, pushed through the factor path with two
   columns per channel term, recovers as the dense pipeline does;
 - malformed command lines end with exit 0, 1 or 2, never a traceback, and
@@ -188,15 +194,21 @@ def test_gram_products_are_those_of_numpys_syrk_route(case):
 
     with mock.patch.object(analysis, "gram", recording_gram):
         reports = run_experiments(name, channel, states, tol)
-    # One gemm per pass, the ancilla Gram, and it is syrk's bit for bit.
-    assert len(formed) == 1
-    for b, out in formed:
-        assert out.tobytes() == _gram_syrk(b).tobytes()
     code = get_code(name)
     rest = code.dim // 2
     factors = recover_pure_state(
         recovery_for(name), channel, [encode_state(code, psi) for psi in states]
     )
+    # One gemm per pass, the ancilla Gram. Of all of G it is syrk's bit for
+    # bit. Of G's nonzero rows alone it need not be, at every block shape;
+    # the report's sigma below still is.
+    assert len(formed) == 1
+    for b, out in formed:
+        if b.shape[1] == rest:
+            assert out.tobytes() == _gram_syrk(b).tobytes()
+        else:
+            g = factors.reshape(len(states), 2, rest, -1).transpose(0, 2, 1, 3)
+            assert b.tobytes() == g[:, g.any(axis=(0, 2, 3))].tobytes()
     for report, a in zip(reports, factors):
         q = report.factorization.reduced_qubit.matrix
         sigma = report.factorization.reduced_ancilla.matrix
@@ -213,6 +225,12 @@ def test_gram_products_are_those_of_numpys_syrk_route(case):
         s = r.reshape(m, 2, -1).transpose(1, 0, 2).reshape(2 * m, -1)
         diff = _gram_syrk(s) - np.kron(q, _gram_syrk(r))
         assert report.residual == math.sqrt(diff.ravel().dot(diff.ravel()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(partial_channels())
+def test_ancilla_reads_as_the_whole_gram(case):
+    dense.assert_ancilla_is_the_whole_gram(*case)
 
 
 @st.composite
@@ -237,7 +255,8 @@ def test_mixed_input_matches_dense_oracle(name, data):
     code = get_code(name)
     rec = recovery_for(name)
     logical_f = np.column_stack([code.logical0, code.logical1]) @ f
-    qubit, ancilla, (residual,) = check_product_form(dense.recover_block(rec, channel, logical_f))
+    qubit, block, rows, (residual,) = check_product_form(dense.recover_block(rec, channel, logical_f))
+    ancilla = dense.full_sigma(block, rows, code.dim // 2)
 
     rho_in = logical_f @ logical_f.T
     rho_err = sum(p * dense.conjugate(op, rho_in) for p, op in channel.terms if p > 0)

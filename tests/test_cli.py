@@ -272,14 +272,15 @@ class TestMalformedInput:
         (b"I 0.6\nX_1 0.5\n", "{path}: probabilities sum to 1.1, expected 1 within 1e-9"),
         (b"I 1.1\nX_1 -0.1\n", "{path}: channel probabilities must be nonnegative"),
         (b"I nan\nX_1 0.5\n", "{path}: probabilities sum to nan, expected 1 within 1e-9"),
-        (b"\xef\xbb\xbfI 0.5\nX_1 0.5\n",
-         "{path}:1: unknown operator '\\ufeffI' for code bitflip3"),
         (b"I 0.5\nX_1 0.5\xff\n",
          "{path}: not valid UTF-8 (byte 0xff at offset 13: invalid start byte)"),
+        # The offset is the file's own, byte-order mark included.
+        (b"\xef\xbb\xbfI 0.5\nX_1 0.5\xff\n",
+         "{path}: not valid UTF-8 (byte 0xff at offset 16: invalid start byte)"),
         ("directory", None),
         ("missing", None),
-    ], ids=["short-line", "empty", "sum-1.1", "negative", "nan", "utf8-bom", "not-utf8",
-            "directory", "missing"])
+    ], ids=["short-line", "empty", "sum-1.1", "negative", "nan", "not-utf8",
+            "not-utf8-after-bom", "directory", "missing"])
     @pytest.mark.parametrize("command", ["demo", "trajectory"])
     def test_malformed_channel_file(self, command, content, line, tmp_path, capsys):
         spec = tmp_path / "channel.txt"
@@ -480,6 +481,20 @@ class TestChannelFile:
         rc, captured, seen = self._demo(path, monkeypatch, capsys)
         assert (rc, seen) == (2, [])
         assert captured.err == f"error: {path}:2: duplicate operator 'I'\n"
+
+    @pytest.mark.parametrize("command", ["demo", "trajectory"])
+    def test_byte_order_mark_is_read_past(self, command, tmp_path, capsys):
+        # Some editors save UTF-8 with a leading byte-order mark.
+        outputs = []
+        for name, prefix in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+            spec = tmp_path / name
+            spec.write_bytes(prefix + b"# bit flips\r\nI 0.7\r\nX_2 0.2\r\nX_3 0.1\r\n")
+            argv = [command, "--code", "bitflip3", "--channel-file", str(spec),
+                    "--alpha", "0.6", "--beta", "0.8"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == "" and "X_2" in outputs[0].out
 
 
 def bitflip3_report():

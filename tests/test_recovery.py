@@ -36,6 +36,7 @@ from dense import (
     block_reversal,
     conjugate,
     conventional_recovery_bitflip3,
+    full_sigma,
     partial_trace,
     permutation_matrix,
     transposition,
@@ -98,7 +99,8 @@ class TestFromFactor:
     def test_gram_product_is_exactly_symmetric(self, shape):
         b = np.random.default_rng(shape[1]).standard_normal(shape)
         b /= np.linalg.norm(b)
-        q, sigma, _ = check_product_form(b[None])
+        q, block, rows, _ = check_product_form(b[None])
+        sigma = full_sigma(block, rows, shape[0] // 2)
         assert np.array_equal(q, np.swapaxes(q, 1, 2))
         assert np.array_equal(sigma, np.swapaxes(sigma, 1, 2))
         split = QubitSplit(2, shape[0] // 2)
@@ -120,10 +122,10 @@ class TestFromFactor:
         a = bitflip3_factor([encode_state(bitflip3(), PureQubitState(0.6, 0.8))])
         with pytest.raises(ValueError):
             a[0, 0, 0] = 2.0
-        q, sigma, _ = check_product_form(a)
-        for out in (q, sigma):
+        q, sigma, rows, _ = check_product_form(a)
+        for out in (q, sigma, rows):
             with pytest.raises(ValueError):
-                out[0, 0, 0] = 2.0
+                out[(0,) * out.ndim] = 2
 
     def test_rejects_nan_factor(self):
         state = np.zeros(8)
