@@ -4,7 +4,7 @@
 The product-form test reconstructs the state from its two partial traces and
 measures the Frobenius distance; for states that truly factorize this is
 exact, so a small residual certifies the tensor-product claim. Whether a case
-passes is decided in one place, run_experiments, against its tolerance.
+passes is decided in one place, _run_stack, against its tolerance.
 
 Each case is computed in factor form (see recovery.recover_pure_state): the
 recovered state and both partial traces are Gram products B @ B.T, which are
@@ -12,9 +12,10 @@ positive semidefinite by construction. The recovered state itself is never
 formed: its residual is taken in the span of the ancilla factor
 (check_product_form).
 
-Every stage takes a stack of states along a leading axis, so the input
-states of a channel take one pass, with each state's numbers bit for bit
-those of a stack of one (README, "One pass per channel").
+Every stage takes a stack of states along a leading axis, so the channels
+of a grid with the same number of nonzero terms, each on every input state,
+take one pass, with each state's numbers bit for bit those of a stack of one
+(README, "One pass per term count").
 
 The functions here return records (RecoveryReport, TrajectoryReport); every
 output format of them is written by the command-line front end (cli).
@@ -50,6 +51,12 @@ _COUNT_CHUNK = 2**15
 
 # Most threads a trajectory count uses: its memory is one chunk per span.
 _MAX_SPANS = 8
+
+# Most factor entries (states x d x k) that one stacked pass of verify_code
+# takes. Without a cap the 28-term shor9 channels would run as one stack of
+# 55 states, each forming a 256 x 256 Gram (README, "One pass per term
+# count").
+_STACK_ENTRIES = 2**13
 
 # Input states exercised by the verification grids.
 INPUT_STATES = (
@@ -165,11 +172,11 @@ def syndrome_distribution(
     """For each ancilla diagonal of the stack `diagonals`, pair its entries
     with error-class labels, one per leading slot; any mass on the
     remaining (completion) slots is aggregated under "(outside)". Off-diagonal
-    mass is not read here: run_experiments weighs it against the tolerance."""
+    mass is not read here: _run_stack weighs it against the tolerance."""
     k = len(class_labels)
     out = []
-    for diag in diagonals:
-        pairs = list(zip(class_labels, diag[:k].tolist()))
+    for diag, head in zip(diagonals, diagonals[:, :k].tolist()):
+        pairs = list(zip(class_labels, head))
         if diagonals.shape[-1] > k:
             pairs.append(("(outside)", float(diag[k:].sum())))
         out.append(pairs)
@@ -229,7 +236,27 @@ def run_experiments(
 ) -> list[RecoveryReport]:
     """Encode each psi of `states`, apply the channel, apply the recovery
     matrix, and check that each output is (original qubit) x (diagonal
-    ancilla): one report per state, in order, from one pass over the stack.
+    ancilla): one report per state, in order, from one pass over the stack
+    (_run_stack of this one channel)."""
+    code = get_code(code) if isinstance(code, str) else code
+    rec = recovery_for(code.name)
+    _require_channel_in_error_set(channel, code, rec)
+    encoded = np.array([encode_state(code, psi) for psi in states])
+    return _run_stack(code, rec, [channel], states, encoded, tol)
+
+
+def _run_stack(
+    code: Code,
+    rec: RecoveryMatrix,
+    channels: Sequence[ErrorChannel],
+    states: Sequence[PureQubitState],
+    encoded: np.ndarray,
+    tol: float,
+) -> list[RecoveryReport]:
+    """The reports of every channel of `channels` (all with the same number
+    of nonzero terms) on every input of `states`, whose encoded vectors are
+    the rows of `encoded`, ordered by channel and then by state, from one
+    pass over the stack of them all.
 
     This is the one place a case meets tol. It passes when the qubit is
     recovered (fidelity), the state is a product (residual), the ancilla is
@@ -237,12 +264,9 @@ def run_experiments(
     `failed` names each of these conditions whose comparison is false, so a
     NaN value fails its condition. A failed case still reports its ancilla
     diagonal as the syndrome."""
-    code = get_code(code) if isinstance(code, str) else code
-    rec = recovery_for(code.name)
-    _require_channel_in_error_set(channel, code, rec)
-    a = recover_pure_state(rec, channel, [encode_state(code, psi) for psi in states])
+    a = recover_pure_state(rec, channels, encoded)
     q, sigma, rows, residuals = check_product_form(a)
-    fids = fidelity_pure(q, states)
+    fids = fidelity_pure(q, [*states] * len(channels))
     s, n = sigma.shape[:2]
     # sigma's whole diagonal, so that "(outside)" sums every slot.
     diagonals = np.zeros((s, rec.ancilla_dim))
@@ -253,30 +277,34 @@ def run_experiments(
     # off-diagonal; sigma is +0.0 off the block.
     off = sigma.reshape(s, -1)[:, 1:].reshape(s, n - 1, n + 1)[:, :, :n]
     max_offs = np.abs(off).max(axis=(1, 2), initial=0.0).tolist()
-    terms = tuple((op.label, float(p)) for p, op in channel.terms)
     reports = []
-    for i, psi in enumerate(states):
-        total = sum(p for _, p in syndromes[i])
-        met = (
-            fids[i] >= 1.0 - tol,
-            residuals[i] <= tol,
-            max_offs[i] <= tol,
-            abs(total - 1.0) <= tol,
-        )
-        reports.append(RecoveryReport(
-            code=code.name,
-            channel=terms,
-            alpha=psi.alpha,
-            beta=psi.beta,
-            fidelity=fids[i],
-            factorization=FactorizationResult(
-                DensityMatrix(q[i]), AncillaBlock(sigma[i], rows, rec.ancilla_dim), residuals[i]
-            ),
-            max_offdiagonal=max_offs[i],
-            syndrome=tuple(syndromes[i]),
-            failed=tuple(c for c, ok in zip(CONDITIONS, met) if not ok),
-            tolerance=tol,
-        ))
+    for c, channel in enumerate(channels):
+        # One tuple per channel, shared by its reports.
+        terms = tuple((op.label, float(p)) for p, op in channel.terms)
+        for j, psi in enumerate(states):
+            i = c * len(states) + j
+            total = sum(p for _, p in syndromes[i])
+            met = (
+                fids[i] >= 1.0 - tol,
+                residuals[i] <= tol,
+                max_offs[i] <= tol,
+                abs(total - 1.0) <= tol,
+            )
+            reports.append(RecoveryReport(
+                code=code.name,
+                channel=terms,
+                alpha=psi.alpha,
+                beta=psi.beta,
+                fidelity=fids[i],
+                factorization=FactorizationResult(
+                    DensityMatrix(q[i]), AncillaBlock(sigma[i], rows, rec.ancilla_dim),
+                    residuals[i],
+                ),
+                max_offdiagonal=max_offs[i],
+                syndrome=tuple(syndromes[i]),
+                failed=tuple(cond for cond, ok in zip(CONDITIONS, met) if not ok),
+                tolerance=tol,
+            ))
     return reports
 
 
@@ -321,14 +349,42 @@ def verification_probability_vectors(k: int, seed: int = 42) -> list[np.ndarray]
 def verify_code(
     code: Code | str, tol: float = DEFAULT_TOL, seed: int = 42
 ) -> Iterator[RecoveryReport]:
-    """Run the full grid of channels and input states for one code, yielding
-    each report as it is made, so a caller need not hold the whole grid. The
-    input states of a channel run as one stack (run_experiments)."""
+    """Run the full grid of channels and input states for one code and
+    yield its reports in grid order: by channel, then by input state.
+
+    The channels with the same number of nonzero terms run as stacks of up
+    to _STACK_ENTRIES factor entries (_run_stack), each stack as soon as
+    grid order reaches its first channel. So the reports of a stack's later
+    channels are held until grid order reaches them; a caller still need
+    not hold the whole grid."""
     code = get_code(code) if isinstance(code, str) else code
+    rec = recovery_for(code.name)
     ops = standard_error_set(code)
-    for probs in verification_probability_vectors(len(ops), seed=seed):
-        channel = ErrorChannel.from_probs(ops, probs)
-        yield from run_experiments(code, channel, INPUT_STATES, tol)
+    channels = [
+        ErrorChannel.from_probs(ops, probs)
+        for probs in verification_probability_vectors(len(ops), seed=seed)
+    ]
+    encoded = np.array([encode_state(code, psi) for psi in INPUT_STATES])
+    by_terms: dict[int, list[int]] = {}
+    for i, channel in enumerate(channels):
+        by_terms.setdefault(sum(p > 0 for p, _ in channel.terms), []).append(i)
+    stacks = []
+    for k, members in by_terms.items():
+        # A channel is never split: one whose factors alone pass the cap
+        # runs alone.
+        size = max(1, _STACK_ENTRIES // (encoded.size * k))
+        stacks.extend(members[i : i + size] for i in range(0, len(members), size))
+    n = len(INPUT_STATES)
+    held: dict[int, list[RecoveryReport]] = {}
+    next_channel = 0
+    # Sorted by first channel, so each stack runs once grid order reaches it.
+    for stack in sorted(stacks):
+        reports = _run_stack(code, rec, [channels[i] for i in stack], INPUT_STATES, encoded, tol)
+        for j, i in enumerate(stack):
+            held[i] = reports[j * n : (j + 1) * n]
+        while next_channel in held:
+            yield from held.pop(next_channel)
+            next_channel += 1
 
 
 # --- trajectory cross-check -------------------------------------------------

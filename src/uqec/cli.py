@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from pathlib import Path
 from typing import NoReturn
@@ -46,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args keeps
+    nothing in it from one call to the next."""
     parser = _Parser(
         prog="uqec",
         description="Measurement-free quantum error correction on density matrices",
@@ -210,16 +214,25 @@ def _json_pairs(items) -> str:
     return ", ".join(f'{{"label": {_json_string(lb)}, "p": {p:.17g}}}' for lb, p in items)
 
 
-def _report_json(r: analysis.RecoveryReport) -> str:
+def _csv_pairs(items) -> str:
+    return ";".join(f"{lb}:{p:.17g}" for lb, p in items)
+
+
+# The reports of one channel share its terms tuple, so a caller may format
+# those once and pass the text as `channel` (cmd_verify).
+def _report_json(r: analysis.RecoveryReport, channel: str | None = None) -> str:
+    if channel is None:
+        channel = _json_pairs(r.channel)
     return (
-        f'{{"code": {_json_string(r.code)}, "channel": [{_json_pairs(r.channel)}], '
+        f'{{"code": {_json_string(r.code)}, "channel": [{channel}], '
         f'"alpha": {r.alpha:.17g}, "beta": {r.beta:.17g}, "fidelity": {r.fidelity:.17g}, '
         f'"residual": {r.residual:.17g}, "syndrome": [{_json_pairs(r.syndrome)}], '
         f'"passed": {_json_bool(r.passed)}, "tolerance": {r.tolerance:.17g}}}'
     )
 
 
-def _report_table_line(r: analysis.RecoveryReport) -> str:
+def _report_table_line(r: analysis.RecoveryReport, channel: None = None) -> str:
+    """A table line shows no channel; `channel` is taken for cmd_verify."""
     status = "PASS" if r.passed else "FAIL"
     return (
         f"[{status}] {r.code} alpha={r.alpha:+.6f} beta={r.beta:+.6f} "
@@ -228,12 +241,13 @@ def _report_table_line(r: analysis.RecoveryReport) -> str:
     )
 
 
-def _report_csv_row(r: analysis.RecoveryReport) -> list:
+def _report_csv_row(r: analysis.RecoveryReport, channel: str | None = None) -> list:
+    if channel is None:
+        channel = _csv_pairs(r.channel)
     return [
         r.code, f"{r.alpha:.17g}", f"{r.beta:.17g}", f"{r.fidelity:.17g}",
         f"{r.residual:.17g}", r.passed, f"{r.tolerance:.17g}",
-        ";".join(f"{lb}:{p:.17g}" for lb, p in r.channel),
-        ";".join(f"{lb}:{p:.17g}" for lb, p in r.syndrome),
+        channel, _csv_pairs(r.syndrome),
     ]
 
 
@@ -262,18 +276,22 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     codes = _resolve_codes(args.code)
-    line = {
-        "json": _report_json,
-        "csv": _report_csv_row,
-        "table": _report_table_line,
+    line, pairs = {
+        "json": (_report_json, _json_pairs),
+        "csv": (_report_csv_row, _csv_pairs),
+        "table": (_report_table_line, lambda terms: None),
     }[args.format]
     lines: list = []
     failures = 0
+    terms = channel = None
     for name in codes:
         cases = failed = 0
-        # Only the formatted line (a CSV row) of a report is kept, never the report.
+        # Only the formatted line (a CSV row) of a report is kept, never the
+        # report. Its channel's text is made once per channel.
         for r in analysis.verify_code(name, tol=args.tol, seed=args.seed):
-            lines.append(line(r))
+            if r.channel is not terms:
+                terms, channel = r.channel, pairs(r.channel)
+            lines.append(line(r, channel))
             cases += 1
             failed += not r.passed
         failures += failed

@@ -286,43 +286,57 @@ def recovery_for(code_name: str) -> RecoveryMatrix:
 
 
 def recover_pure_state(
-    recovery: RecoveryMatrix, channel: ErrorChannel, states: np.ndarray
+    recovery: RecoveryMatrix, channels: Sequence[ErrorChannel], states: np.ndarray
 ) -> np.ndarray:
-    """R (sum_i p_i W_i psi psi^T W_i^T) R^T for each pure input psi, one per
-    row of `states`, as the read-only s x d x k stack of its factors: state
-    s is A[s] @ A[s].T with A = R V and V = [sqrt(p_i) W_i psi], one column
-    per term with p_i > 0. Neither the corrupted state nor R rho R^T is
-    formed densely.
+    """R (sum_i p_i W_i psi psi^T W_i^T) R^T for each channel of `channels`
+    and each pure input psi, one per row of `states`, as the read-only
+    (channels x states) x d x k stack of its factors, ordered by channel and
+    then by state: entry s is A[s] @ A[s].T with A = R V and
+    V = [sqrt(p_i) W_i psi], one column per term with p_i > 0. Every channel
+    must have the same number k of such terms. Neither the corrupted state
+    nor R rho R^T is formed densely.
 
-    The states share the channel, so V is one s x d x k scatter and A one
-    stacked product (RecoveryMatrix.apply), which numpy computes with the
-    same BLAS call per state as for a state alone.
+    V is one scatter of each channel's own perm, signs and sqrt(p), moved to
+    that channel's slice of the stack by one transpose, and A one stacked
+    product (RecoveryMatrix.apply), which numpy computes with the same BLAS
+    call per entry as for an entry alone.
 
     The stack is checked once, here. A A^T is positive semidefinite for
     every real A, and numpy computes it exactly symmetric, so only each
-    state's trace (the squared norm of its factor) is checked: an eigenvalue
-    test could not fail. A NaN or infinite entry makes its state's trace NaN
-    or infinite, so the same test rejects it.
+    entry's trace (the squared norm of its factor, from one batched
+    product) is checked: an eigenvalue test could not fail. A NaN or
+    infinite entry makes its trace NaN or infinite, so the same test
+    rejects it.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError(f"states must be one vector per row, got shape {states.shape}")
-    if not recovery.dim == channel.dim == states.shape[1]:
-        raise ValueError(
-            f"recovery dimension {recovery.dim}, channel dimension {channel.dim} "
-            f"and state dimension {states.shape[1]} differ"
-        )
-    terms = [(p, op) for p, op in channel.terms if p > 0]
+    for channel in channels:
+        if not recovery.dim == channel.dim == states.shape[1]:
+            raise ValueError(
+                f"recovery dimension {recovery.dim}, channel dimension {channel.dim} "
+                f"and state dimension {states.shape[1]} differ"
+            )
+    terms = [[(p, op) for p, op in channel.terms if p > 0] for channel in channels]
+    c, k = len(terms), len(terms[0])
+    if any(len(t) != k for t in terms):
+        raise ValueError("channels of one stack must have the same number of nonzero terms")
+    # Every channel's terms side by side, as the terms of one channel.
+    terms = [term for t in terms for term in t]
     perms = np.array([op.perm for _, op in terms])
     signs = np.array([op.signs for _, op in terms])
     roots = np.sqrt([p for p, _ in terms])
     # Column j of V[s] is sqrt(p_j) W_j psi_s: W_j carries entry r of psi_s
-    # to row perm_j[r] with sign signs_j[r] (ErrorOperator.apply).
-    v = np.empty((len(states), recovery.dim, len(terms)))
-    v[:, perms, np.arange(len(terms))[:, None]] = signs * states[:, None, :] * roots[:, None]
+    # to row perm_j[r] with sign signs_j[r] (ErrorOperator.apply). V is
+    # scattered as for one channel of all c k terms; the transpose then moves
+    # channel i's k columns to entries i s to i s + s - 1 of the stack.
+    s, d = states.shape
+    v = np.empty((s, d, c * k))
+    v[:, perms, np.arange(c * k)[:, None]] = signs * states[:, None, :] * roots[:, None]
+    v = v.reshape(s, d, c, k).transpose(2, 0, 1, 3).reshape(c * s, d, k)
     a = recovery.apply(v)
-    for state in a:
-        trace = float(np.vdot(state, state))
+    flat = a.reshape(c * s, 1, -1)
+    for trace in (flat @ flat.transpose(0, 2, 1)).ravel().tolist():
         # Written so that a NaN or inf trace fails it.
         if not abs(trace - 1.0) <= 1e-12:
             if not np.isfinite(a).all():

@@ -193,6 +193,18 @@ def partial_trace(rho: np.ndarray, split: QubitSplit, keep: str = "first") -> np
     raise ValueError(f"keep must be 'first' or 'rest', got {keep!r}")
 
 
+def report_bytes(report) -> tuple:
+    """Every number a report carries, as bytes, and its other fields."""
+    fact = report.factorization
+    numbers = [report.alpha, report.beta, report.fidelity, report.residual,
+               report.max_offdiagonal, *(p for _, p in report.syndrome)]
+    return (
+        report.code, report.channel, report.failed, report.tolerance,
+        [label for label, _ in report.syndrome], np.array(numbers).tobytes(),
+        fact.reduced_qubit.matrix.tobytes(), fact.reduced_ancilla.matrix.tobytes(),
+    )
+
+
 def full_sigma(block: np.ndarray, rows: np.ndarray, dim: int) -> np.ndarray:
     """The dim x dim ancilla Gram (or a stack of them) from its block on
     `rows`, as analysis.check_product_form returns them: +0.0 off the
@@ -229,7 +241,7 @@ def assert_ancilla_is_the_whole_gram(
     code = get_code(name)
     rec = recovery_for(name)
     reports = run_experiments(code, channel, states, tol)
-    a = recover_pure_state(rec, channel, [encode_state(code, psi) for psi in states])
+    a = recover_pure_state(rec, [channel], [encode_state(code, psi) for psi in states])
     sigma, syndromes, max_offs = whole_gram_reads(a, rec.class_labels)
     smaller = 0
     for report, want, syndrome, max_off in zip(reports, sigma, syndromes, max_offs):

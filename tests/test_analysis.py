@@ -45,6 +45,7 @@ from dense import (
     partial_trace,
     recover_block,
     recovered_logical,
+    report_bytes,
     verify_permutation_factorization_3qubit,
 )
 from oracles import choice_counts, conventional_recovery, group_pairs_brute, pauli_brute
@@ -562,7 +563,7 @@ class TestFactorPathMatchesDenseOracle:
             logical = recovered_logical(rec, channel, code)
             reports = run_experiments(code, channel, INPUT_STATES)
             encoded = [encode_state(code, psi) for psi in INPUT_STATES]
-            factor = recover_pure_state(rec, channel, encoded)
+            factor = recover_pure_state(rec, [channel], encoded)
             recovered = factor @ np.swapaxes(factor, -1, -2)
             # The factor of each corrupted state: column i is sqrt(p_i) W_i psi.
             v = np.einsum("idm,sm->sdi", shifted, amplitudes) * np.sqrt(probs)
@@ -650,3 +651,45 @@ class TestFailedConditions:
         report = run_experiment("bitflip3", channel, PureQubitState(0.6, 0.8), tol=float("nan"))
         assert report.failed == CONDITIONS
         assert report.passed is False
+
+
+class TestStackedGrid:
+    """verify_code runs the channels of its grid with the same number of
+    nonzero terms as stacks, yet yields what one run_experiments pass per
+    channel yields, in the same order, byte for byte."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_grid_order_and_bytes_of_one_pass_per_channel(self, name, tol):
+        ops = standard_error_set(get_code(name))
+        for seed in (42, 7):
+            want = [
+                report_bytes(report)
+                for probs in verification_probability_vectors(len(ops), seed=seed)
+                for report in run_experiments(
+                    name, ErrorChannel.from_probs(ops, probs), INPUT_STATES, tol
+                )
+            ]
+            got = [report_bytes(report) for report in verify_code(name, tol=tol, seed=seed)]
+            assert got == want
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_no_stack_passes_the_entry_cap(self, name, monkeypatch):
+        stacks = []
+
+        def spy(a):
+            stacks.append(a.shape)
+            return check_product_form(a)
+
+        monkeypatch.setattr(analysis, "check_product_form", spy)
+        cases = len(list(verify_code(name)))
+        states = len(INPUT_STATES)
+        assert sum(s for s, _, _ in stacks) == cases
+        for s, d, k in stacks:
+            # Only a channel whose states alone pass the cap runs beyond it,
+            # and then alone.
+            assert s * d * k <= analysis._STACK_ENTRIES or s == states
+        # Fewer passes than channels: channels did share stacks.
+        assert len(stacks) < cases // states
+        if name == "shor9":
+            assert [s for s, _, k in stacks if k == 28] == [states] * 11

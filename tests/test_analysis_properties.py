@@ -8,6 +8,10 @@
   with any number of nonzero terms. BLAS results can depend on the shapes
   multiplied, and the verify grid itself has shor9 channels of 1 and 28
   terms only;
+- so does a stack of several channels with the same number of nonzero
+  terms on other supports, as verify_code runs them: each report is that of
+  its channel and state alone, though the stack's nonzero rows of G are the
+  union over its channels;
 - R @ V, which recover_pure_state and trajectory_statistics take from R's
   dense rows alone (RecoveryMatrix.apply), is byte for byte the full
   product `rec.matrix @ V` at every term count of every code, for stacks of
@@ -54,6 +58,7 @@ from uqec.recovery import ErrorChannel, recover_pure_state, recovery_for
 
 import dense
 import oracles
+from dense import report_bytes
 from oracles import choice_counts
 
 
@@ -95,18 +100,6 @@ def partial_channels(draw):
     return name, ErrorChannel.from_probs(ops, probs / probs.sum()), states, tol
 
 
-def report_bytes(report):
-    """Every number a report carries, as bytes, and its other fields."""
-    fact = report.factorization
-    numbers = [report.alpha, report.beta, report.fidelity, report.residual,
-               report.max_offdiagonal, *(p for _, p in report.syndrome)]
-    return (
-        report.code, report.channel, report.failed, report.tolerance,
-        [label for label, _ in report.syndrome], np.array(numbers).tobytes(),
-        fact.reduced_qubit.matrix.tobytes(), fact.reduced_ancilla.matrix.tobytes(),
-    )
-
-
 @settings(max_examples=30, deadline=None)
 @given(partial_channels())
 def test_stacked_pass_matches_one_state_passes(case):
@@ -114,6 +107,39 @@ def test_stacked_pass_matches_one_state_passes(case):
     stacked = run_experiments(name, channel, states, tol)
     assert len(stacked) == len(states)
     for psi, report in zip(states, stacked):
+        (alone,) = run_experiments(name, channel, [psi], tol)
+        assert report_bytes(report) == report_bytes(alone)
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A code, 2 to 4 channels on the same number of its operators (each on
+    its own random support, with its own weights), 1 to 5 random real input
+    states and a tolerance: a stack as verify_code groups it."""
+    name = draw(st.sampled_from(CODE_NAMES))
+    ops = standard_error_set(get_code(name))
+    k = draw(st.integers(1, len(ops)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = []
+    for _ in range(draw(st.integers(2, 4))):
+        probs = np.zeros(len(ops))
+        probs[rng.choice(len(ops), size=k, replace=False)] = rng.dirichlet(np.ones(k))
+        channels.append(ErrorChannel.from_probs(ops, probs / probs.sum()))
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=draw(st.integers(1, 5)))
+    states = [PureQubitState(float(np.cos(t)), float(np.sin(t))) for t in angles]
+    return name, channels, states, draw(st.sampled_from([DEFAULT_TOL, 0.0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_stacks())
+def test_mixed_stack_matches_one_channel_one_state_passes(case):
+    name, channels, states, tol = case
+    code = get_code(name)
+    encoded = np.array([encode_state(code, psi) for psi in states])
+    stacked = analysis._run_stack(code, recovery_for(name), channels, states, encoded, tol)
+    assert len(stacked) == len(channels) * len(states)
+    pairs = [(channel, psi) for channel in channels for psi in states]
+    for (channel, psi), report in zip(pairs, stacked):
         (alone,) = run_experiments(name, channel, [psi], tol)
         assert report_bytes(report) == report_bytes(alone)
 
@@ -137,7 +163,7 @@ def assert_full_r_product(name, channel, states):
     code = get_code(name)
     rec = recovery_for(name)
     encoded = np.array([encode_state(code, psi) for psi in states])
-    factor = recover_pure_state(rec, channel, encoded)
+    factor = recover_pure_state(rec, [channel], encoded)
     for a, x in zip(factor, encoded):
         assert a.tobytes() == dense.recover_block(rec, channel, x[:, None])[0].tobytes()
     for p, op in channel.terms:
@@ -197,7 +223,7 @@ def test_gram_products_are_those_of_numpys_syrk_route(case):
     code = get_code(name)
     rest = code.dim // 2
     factors = recover_pure_state(
-        recovery_for(name), channel, [encode_state(code, psi) for psi in states]
+        recovery_for(name), [channel], [encode_state(code, psi) for psi in states]
     )
     # One gemm per pass, the ancilla Gram. Of all of G it is syrk's bit for
     # bit. Of G's nonzero rows alone it need not be, at every block shape;

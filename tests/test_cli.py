@@ -347,6 +347,45 @@ class TestArgparseErrors:
         assert capsys.readouterr().out.startswith("usage: uqec verify")
 
 
+class TestCachedParser:
+    """main parses every command line with one parser, built once per
+    process: one call must leave nothing in it for the next."""
+
+    ARGVS = [
+        ["verify", "--code", "bitflip3", "--format", "json", "--seed", "7", "--tol", "0"],
+        ["demo", "--code", "divincenzo5", "--probs", ",".join(["0.0625"] * 16),
+         "--alpha", "0.6", "--beta", "-0.8", "--format", "csv"],
+        ["verify", "--code", "bitflip3", "--format", "xml"],
+        ["verify", "--code", "bitflip3"],
+        ["demo", "--code", "bitflip3", "--channel-file", str(DATA / "missing.txt"),
+         "--alpha", "1", "--beta", "0"],
+        ["demo", "--code", "bitflip3", "--probs", "0.7,0.1,0.1,0.1", "--alpha", "0.6",
+         "--beta", "0.8"],
+        ["verify", "--code", "divincenzo5", "--format", "csv", "--seed", "3"],
+        ["kl-check", "--code", "all"],
+    ]
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    def test_one_process_gives_what_fresh_parsers_give(self, capsys):
+        in_turn = [self.run(argv, capsys) for argv in self.ARGVS]
+        assert cli.build_parser() is cli.build_parser()
+        fresh = []
+        for argv in self.ARGVS:
+            cli.build_parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        assert in_turn == fresh
+        # The demo runs read their own options, not the verify runs' defaults.
+        assert [rc for rc, _, _ in in_turn] == [1, 0, 2, 0, 2, 0, 0, 0]
+
+
 class TestFormatChoices:
     @pytest.mark.parametrize("argv", [
         ["kl-check", "--code", "bitflip3", "--format", "csv"],

@@ -86,7 +86,7 @@ def bitflip3_factor(states):
     """recover_pure_state on bitflip3 under a fixed channel, for input
     vectors that need not be normalized."""
     channel = bitflip_channel([0.5, 0.3, 0.15, 0.05])
-    return recover_pure_state(recovery_for("bitflip3"), channel, np.asarray(states, dtype=float))
+    return recover_pure_state(recovery_for("bitflip3"), [channel], np.asarray(states, dtype=float))
 
 
 class TestFromFactor:
@@ -478,7 +478,7 @@ class TestRecoverPureState:
         states = (PureQubitState(0.6, -0.8), PureQubitState(1.0, 0.0))
         encoded = [encode_state(code, psi) for psi in states]
         rec = recovery_for("shor9")
-        fast = recover_pure_state(rec, channel, encoded)
+        fast = recover_pure_state(rec, [channel], encoded)
         assert fast.shape == (2, 512, len(ops) - 1)
         for i, vec in enumerate(encoded):
             dense = apply_recovery(rec, apply_channel(channel, DensityMatrix.from_state(vec)))
@@ -487,11 +487,19 @@ class TestRecoverPureState:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
             recover_pure_state(
-                recovery_for("divincenzo5"), bitflip_channel([1, 0, 0, 0]), np.ones((1, 8)) / np.sqrt(8)
+                recovery_for("divincenzo5"), [bitflip_channel([1, 0, 0, 0])], np.ones((1, 8)) / np.sqrt(8)
+            )
+
+    def test_rejects_channels_of_different_term_counts(self):
+        with pytest.raises(ValueError, match="same number of nonzero terms"):
+            recover_pure_state(
+                recovery_for("bitflip3"),
+                [bitflip_channel([1, 0, 0, 0]), bitflip_channel([0.5, 0.5, 0, 0])],
+                np.ones((1, 8)) / np.sqrt(8),
             )
 
     def test_rejects_a_state_that_is_not_a_stack(self):
         with pytest.raises(ValueError, match="one vector per row"):
             recover_pure_state(
-                recovery_for("bitflip3"), bitflip_channel([1, 0, 0, 0]), np.ones(8) / np.sqrt(8)
+                recovery_for("bitflip3"), [bitflip_channel([1, 0, 0, 0])], np.ones(8) / np.sqrt(8)
             )
