@@ -4,7 +4,7 @@
 The product-form test reconstructs the state from its two partial traces and
 measures the Frobenius distance; for states that truly factorize this is
 exact, so a small residual certifies the tensor-product claim. Whether a case
-passes is decided in one place, _run_stack, against its tolerance.
+passes is decided in one place, run_experiments, against its tolerance.
 
 Each case is computed in factor form (see recovery.recover_pure_state): the
 recovered state and both partial traces are Gram products B @ B.T, which are
@@ -30,7 +30,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -172,7 +172,7 @@ def syndrome_distribution(
     """For each ancilla diagonal of the stack `diagonals`, pair its entries
     with error-class labels, one per leading slot; any mass on the
     remaining (completion) slots is aggregated under "(outside)". Off-diagonal
-    mass is not read here: _run_stack weighs it against the tolerance."""
+    mass is not read here: run_experiments weighs it against the tolerance."""
     k = len(class_labels)
     out = []
     for diag, head in zip(diagonals, diagonals[:, :k].tolist()):
@@ -230,33 +230,15 @@ class RecoveryReport:
 
 def run_experiments(
     code: Code | str,
-    channel: ErrorChannel,
+    channels: Sequence[ErrorChannel],
     states: Sequence[PureQubitState],
     tol: float = DEFAULT_TOL,
 ) -> list[RecoveryReport]:
-    """Encode each psi of `states`, apply the channel, apply the recovery
-    matrix, and check that each output is (original qubit) x (diagonal
-    ancilla): one report per state, in order, from one pass over the stack
-    (_run_stack of this one channel)."""
-    code = get_code(code) if isinstance(code, str) else code
-    rec = recovery_for(code.name)
-    _require_channel_in_error_set(channel, code, rec)
-    encoded = np.array([encode_state(code, psi) for psi in states])
-    return _run_stack(code, rec, [channel], states, encoded, tol)
-
-
-def _run_stack(
-    code: Code,
-    rec: RecoveryMatrix,
-    channels: Sequence[ErrorChannel],
-    states: Sequence[PureQubitState],
-    encoded: np.ndarray,
-    tol: float,
-) -> list[RecoveryReport]:
-    """The reports of every channel of `channels` (all with the same number
-    of nonzero terms) on every input of `states`, whose encoded vectors are
-    the rows of `encoded`, ordered by channel and then by state, from one
-    pass over the stack of them all.
+    """Encode each psi of `states`, apply each channel of `channels` (all
+    with the same number of nonzero terms), apply the recovery matrix, and
+    check that each output is (original qubit) x (diagonal ancilla): one
+    report per channel and state, ordered by channel and then by state, from
+    one pass over the stack of them all.
 
     This is the one place a case meets tol. It passes when the qubit is
     recovered (fidelity), the state is a product (residual), the ancilla is
@@ -264,6 +246,11 @@ def _run_stack(
     `failed` names each of these conditions whose comparison is false, so a
     NaN value fails its condition. A failed case still reports its ancilla
     diagonal as the syndrome."""
+    code = get_code(code) if isinstance(code, str) else code
+    rec = recovery_for(code.name)
+    for channel in channels:
+        _require_channel_in_error_set(channel, code, rec)
+    encoded = np.array([encode_state(code, psi) for psi in states])
     a = recover_pure_state(rec, channels, encoded)
     q, sigma, rows, residuals = check_product_form(a)
     fids = fidelity_pure(q, [*states] * len(channels))
@@ -314,8 +301,8 @@ def run_experiment(
     psi: PureQubitState,
     tol: float = DEFAULT_TOL,
 ) -> RecoveryReport:
-    """run_experiments for the single input psi."""
-    return run_experiments(code, channel, (psi,), tol)[0]
+    """run_experiments for the single channel and input psi."""
+    return run_experiments(code, [channel], (psi,), tol)[0]
 
 
 # --- verification grids -----------------------------------------------------
@@ -348,43 +335,33 @@ def verification_probability_vectors(k: int, seed: int = 42) -> list[np.ndarray]
 
 def verify_code(
     code: Code | str, tol: float = DEFAULT_TOL, seed: int = 42
-) -> Iterator[RecoveryReport]:
+) -> list[RecoveryReport]:
     """Run the full grid of channels and input states for one code and
-    yield its reports in grid order: by channel, then by input state.
+    return its reports in grid order: by channel, then by input state.
 
     The channels with the same number of nonzero terms run as stacks of up
-    to _STACK_ENTRIES factor entries (_run_stack), each stack as soon as
-    grid order reaches its first channel. So the reports of a stack's later
-    channels are held until grid order reaches them; a caller still need
-    not hold the whole grid."""
+    to _STACK_ENTRIES factor entries, one run_experiments pass each."""
     code = get_code(code) if isinstance(code, str) else code
-    rec = recovery_for(code.name)
     ops = standard_error_set(code)
     channels = [
         ErrorChannel.from_probs(ops, probs)
         for probs in verification_probability_vectors(len(ops), seed=seed)
     ]
-    encoded = np.array([encode_state(code, psi) for psi in INPUT_STATES])
     by_terms: dict[int, list[int]] = {}
     for i, channel in enumerate(channels):
         by_terms.setdefault(sum(p > 0 for p, _ in channel.terms), []).append(i)
-    stacks = []
+    n = len(INPUT_STATES)
+    reports: list = [None] * (len(channels) * n)
     for k, members in by_terms.items():
         # A channel is never split: one whose factors alone pass the cap
         # runs alone.
-        size = max(1, _STACK_ENTRIES // (encoded.size * k))
-        stacks.extend(members[i : i + size] for i in range(0, len(members), size))
-    n = len(INPUT_STATES)
-    held: dict[int, list[RecoveryReport]] = {}
-    next_channel = 0
-    # Sorted by first channel, so each stack runs once grid order reaches it.
-    for stack in sorted(stacks):
-        reports = _run_stack(code, rec, [channels[i] for i in stack], INPUT_STATES, encoded, tol)
-        for j, i in enumerate(stack):
-            held[i] = reports[j * n : (j + 1) * n]
-        while next_channel in held:
-            yield from held.pop(next_channel)
-            next_channel += 1
+        size = max(1, _STACK_ENTRIES // (n * code.dim * k))
+        for lo in range(0, len(members), size):
+            stack = members[lo : lo + size]
+            stacked = run_experiments(code, [channels[i] for i in stack], INPUT_STATES, tol)
+            for j, i in enumerate(stack):
+                reports[i * n : (i + 1) * n] = stacked[j * n : (j + 1) * n]
+    return reports
 
 
 # --- trajectory cross-check -------------------------------------------------
@@ -438,7 +415,7 @@ def trajectory_statistics(
     _require_channel_in_error_set(channel, code, rec)
     encoded = encode_state(code, psi)
     probs = channel.probabilities
-    counts = _term_counts(probs, samples, np.random.default_rng(seed))
+    counts = _term_counts(probs, samples, seed)
     z_bound = _sidak_z_bound(len(probs))
 
     entries = []
@@ -483,13 +460,10 @@ def trajectory_statistics(
     )
 
 
-def _term_counts(
-    probs: np.ndarray, samples: int, rng: np.random.Generator
-) -> np.ndarray:
+def _term_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
     """How many of `samples` draws land on each term: the counts of numpy's
-    Generator.choice(len(probs), size=samples, p=probs) on `rng`, bit for
-    bit, in memory that does not grow with `samples`. `rng` is left where
-    that choice call leaves it.
+    default_rng(seed).choice(len(probs), size=samples, p=probs), bit for
+    bit, in memory that does not grow with `samples`.
 
     Generator.choice forms cdf = probs.cumsum() / its last entry, draws
     u = rng.random(samples) and gives each draw the term #{j : cdf_j <= u}.
@@ -497,20 +471,13 @@ def _term_counts(
     gives that number by one searchsorted of the cdf.
 
     The draw is cut into contiguous spans of whole chunks, each counted on
-    its own thread from a copy of the generator advanced to the span's first
-    draw, which gives exactly that span's uniforms (README, "trajectory"). A
-    span that raises is raised here once every span has ended.
+    its own thread from default_rng(seed)'s PCG64 advanced to the span's
+    first draw, which gives exactly that span's uniforms (README,
+    "trajectory"). A span that raises is raised here once every span has
+    ended.
     """
-    bitgen = rng.bit_generator
-    # Philox has an advance too, but it steps a counter of four words.
-    if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise TypeError(
-            "trajectory counts need a PCG64 or PCG64DXSM bit generator, whose "
-            f"advance(n) skips n draws; got {type(bitgen).__name__}"
-        )
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    start = bitgen.state
     chunks = -(-samples // _COUNT_CHUNK)
     spans = _span_count(chunks)
     results: list = [None] * spans
@@ -519,10 +486,7 @@ def _term_counts(
         lo = chunks * w // spans * _COUNT_CHUNK
         hi = min(chunks * (w + 1) // spans * _COUNT_CHUNK, samples)
         try:
-            span_bitgen = type(bitgen)(0)
-            span_bitgen.state = start
-            span_bitgen.advance(lo)
-            results[w] = _count_span(cdf, span_bitgen, hi - lo)
+            results[w] = _count_span(cdf, np.random.PCG64(seed).advance(lo), hi - lo)
         except BaseException as exc:  # re-raised below, after every join
             results[w] = exc
 
@@ -538,12 +502,6 @@ def _term_counts(
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    # advance() also drops the 32-bit half-word that bitgen may hold for its
-    # next 32-bit draw; random() never touches it, so it is put back.
-    bitgen.advance(samples)
-    bitgen.state = {
-        **bitgen.state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"],
-    }
     return np.diff(sum(results), prepend=0)
 
 

@@ -180,7 +180,7 @@ def _resolve_channel(args: argparse.Namespace, code_name: str) -> ErrorChannel:
     # input is kept as typed, so that 0.7 stays 0.7 rather than becoming its
     # rescaled neighbour. A sum of huge entries overflows to inf, and the
     # check is written so that a NaN or inf sum fails it.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.sum(probs))
     if not abs(total - 1.0) <= 1e-9:
         raise CliError(f"{source}: probabilities sum to {total!r}, expected 1 within 1e-9")
@@ -231,8 +231,7 @@ def _report_json(r: analysis.RecoveryReport, channel: str | None = None) -> str:
     )
 
 
-def _report_table_line(r: analysis.RecoveryReport, channel: None = None) -> str:
-    """A table line shows no channel; `channel` is taken for cmd_verify."""
+def _report_table_line(r: analysis.RecoveryReport) -> str:
     status = "PASS" if r.passed else "FAIL"
     return (
         f"[{status}] {r.code} alpha={r.alpha:+.6f} beta={r.beta:+.6f} "
@@ -279,24 +278,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     line, pairs = {
         "json": (_report_json, _json_pairs),
         "csv": (_report_csv_row, _csv_pairs),
-        "table": (_report_table_line, lambda terms: None),
+        "table": (_report_table_line, None),
     }[args.format]
     lines: list = []
     failures = 0
-    terms = channel = None
     for name in codes:
-        cases = failed = 0
-        # Only the formatted line (a CSV row) of a report is kept, never the
-        # report. Its channel's text is made once per channel.
-        for r in analysis.verify_code(name, tol=args.tol, seed=args.seed):
+        reports = analysis.verify_code(name, tol=args.tol, seed=args.seed)
+        failed = sum(not r.passed for r in reports)
+        failures += failed
+        if pairs is None:
+            lines.extend(map(line, reports))
+            lines.append(f"{name}: {len(reports) - failed}/{len(reports)} cases passed")
+            continue
+        # Each channel's text is made once, for the reports that share its
+        # terms tuple.
+        terms = channel = None
+        for r in reports:
             if r.channel is not terms:
                 terms, channel = r.channel, pairs(r.channel)
             lines.append(line(r, channel))
-            cases += 1
-            failed += not r.passed
-        failures += failed
-        if args.format == "table":
-            lines.append(f"{name}: {cases - failed}/{cases} cases passed")
     if args.format == "csv":
         _emit(_csv_document(lines), args.output)
     else:

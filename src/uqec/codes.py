@@ -32,7 +32,7 @@ class PureQubitState:
 
     def __post_init__(self) -> None:
         # Written so that NaN and inf amplitudes fail it.
-        if not abs(self.alpha ** 2 + self.beta ** 2 - 1.0) <= 1e-12:
+        if not abs(self.alpha * self.alpha + self.beta * self.beta - 1.0) <= 1e-12:
             raise ValueError(f"state ({self.alpha}, {self.beta}) is not normalized")
 
 

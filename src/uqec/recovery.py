@@ -40,13 +40,14 @@ class ErrorChannel:
 
     def __post_init__(self) -> None:
         probs = np.array([p for p, _ in self.terms])
-        # Both checks are written so that NaN and inf fail them.
+        # Both checks are written so that NaN and inf fail them; a sum that
+        # overflows is inf, and fails the second without a warning.
         if not np.all(probs >= 0):
             raise ValueError("channel probabilities must be nonnegative")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
-            raise ValueError(
-                f"channel probabilities sum to {float(probs.sum())!r}, expected 1"
-            )
+        with np.errstate(over="ignore"):
+            total = float(probs.sum())
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"channel probabilities sum to {total!r}, expected 1")
         dims = {op.dim for _, op in self.terms}
         if len(dims) > 1:
             raise ValueError("channel operators have mixed dimensions")
@@ -317,6 +318,8 @@ def recover_pure_state(
                 f"recovery dimension {recovery.dim}, channel dimension {channel.dim} "
                 f"and state dimension {states.shape[1]} differ"
             )
+    if not channels:
+        raise ValueError("the channel list is empty")
     terms = [[(p, op) for p, op in channel.terms if p > 0] for channel in channels]
     c, k = len(terms), len(terms[0])
     if any(len(t) != k for t in terms):

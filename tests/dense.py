@@ -240,7 +240,7 @@ def assert_ancilla_is_the_whole_gram(
     (whole_gram_reads). Returns how many held a block smaller than sigma."""
     code = get_code(name)
     rec = recovery_for(name)
-    reports = run_experiments(code, channel, states, tol)
+    reports = run_experiments(code, [channel], states, tol)
     a = recover_pure_state(rec, [channel], [encode_state(code, psi) for psi in states])
     sigma, syndromes, max_offs = whole_gram_reads(a, rec.class_labels)
     smaller = 0

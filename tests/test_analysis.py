@@ -146,7 +146,8 @@ class TestAncillaOnNonzeroRows:
         assert smaller > 0
 
     def test_matrix_is_formed_once_and_read_only(self):
-        (report,) = run_experiments("shor9", channel_for("shor9", np.eye(28)[5]), INPUT_STATES[2:3])
+        channel = channel_for("shor9", np.eye(28)[5])
+        (report,) = run_experiments("shor9", [channel], INPUT_STATES[2:3])
         ancilla = report.factorization.reduced_ancilla
         assert ancilla.rows.size < ancilla.dim == 256
         sigma = ancilla.matrix
@@ -159,10 +160,10 @@ class TestAncillaOnNonzeroRows:
     def test_one_term_shor9_pass_forms_no_whole_sigma(self):
         # The stack of five whole 256 x 256 ancilla Grams alone is 2.6 MB.
         channel = channel_for("shor9", np.eye(28)[3])
-        run_experiments("shor9", channel, INPUT_STATES)
+        run_experiments("shor9", [channel], INPUT_STATES)
         tracemalloc.start()
         try:
-            reports = run_experiments("shor9", channel, INPUT_STATES)
+            reports = run_experiments("shor9", [channel], INPUT_STATES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -278,6 +279,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="dimension"):
             run_experiment("divincenzo5", ch, PureQubitState(1.0, 0.0))
 
+    def test_rejects_an_empty_channel_list(self):
+        with pytest.raises(ValueError, match="channel list is empty"):
+            run_experiments("bitflip3", [], INPUT_STATES)
+
+    def test_rejects_channels_of_different_term_counts(self):
+        channels = [channel_for("bitflip3", [1, 0, 0, 0]), channel_for("bitflip3", [0.5, 0.5, 0, 0])]
+        with pytest.raises(ValueError, match="same number of nonzero terms"):
+            run_experiments("bitflip3", channels, INPUT_STATES)
+
+    def test_rejects_a_stack_with_one_channel_outside_error_set(self):
+        ops = (error_operator("I", 0, 3), error_operator("Z", 1, 3))
+        channels = [channel_for("bitflip3", [0.5, 0.5, 0, 0]), ErrorChannel.from_probs(ops, [0.5, 0.5])]
+        with pytest.raises(ValueError, match="outside"):
+            run_experiments("bitflip3", channels, INPUT_STATES)
+
 
 class TestScopeOfTheClaim:
     """The claim is checked for the ancilla state sigma = |0...0> and any
@@ -338,7 +354,7 @@ class TestGrids:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_verify_code_bitflip3(self):
-        reports = list(verify_code("bitflip3"))
+        reports = verify_code("bitflip3")
         assert len(reports) == 45 * len(INPUT_STATES)
         assert all(r.passed for r in reports)
 
@@ -410,8 +426,7 @@ def _one_hot(k, i):
 
 class TestTermCounts:
     """_term_counts gives the counts of numpy's rng.choice draw, bit for bit,
-    on either side of each chunk and span boundary, and leaves the generator
-    where that draw leaves it."""
+    on either side of each chunk and span boundary."""
 
     SAMPLES = (1, 32767, 32768, 32769, 65536, 65537, 100_003)
 
@@ -421,7 +436,7 @@ class TestTermCounts:
         rng = np.random.default_rng(1000 + seed)
         for i in range(3):
             probs = rng.dirichlet(np.ones(28))
-            counts = _term_counts(probs, samples, np.random.default_rng(seed + i))
+            counts = _term_counts(probs, samples, seed + i)
             assert np.array_equal(counts, choice_counts(probs, samples, seed + i))
 
     @pytest.mark.parametrize("samples", SAMPLES)
@@ -435,7 +450,7 @@ class TestTermCounts:
     ])
     def test_zero_and_certain_terms(self, probs, samples):
         probs = np.array(probs)
-        counts = _term_counts(probs, samples, np.random.default_rng(3))
+        counts = _term_counts(probs, samples, 3)
         assert np.array_equal(counts, choice_counts(probs, samples, 3))
         assert counts.sum() == samples
 
@@ -445,36 +460,8 @@ class TestTermCounts:
         # 7 spans leave some spans without a chunk below 7 chunks.
         monkeypatch.setattr(analysis, "_span_count", lambda chunks: spans)
         probs = np.random.default_rng(spans).dirichlet(np.ones(28))
-        rng = np.random.default_rng(samples)
-        counts = _term_counts(probs, samples, rng)
+        counts = _term_counts(probs, samples, samples)
         assert np.array_equal(counts, choice_counts(probs, samples, samples))
-        after_choice = np.random.default_rng(samples)
-        after_choice.choice(len(probs), size=samples, p=probs)
-        assert rng.bit_generator.state == after_choice.bit_generator.state
-
-    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
-    def test_leaves_a_held_half_word_as_choice_does(self, bit_generator, monkeypatch):
-        # A 32-bit draw leaves half a word held for the next one; random()
-        # and so choice() leave it there.
-        monkeypatch.setattr(analysis, "_span_count", lambda chunks: 2)
-        probs = np.array([0.2, 0.5, 0.3])
-        rng, after_choice = (np.random.Generator(bit_generator(9)) for _ in range(2))
-        for g in (rng, after_choice):
-            g.integers(0, 10, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        counts = _term_counts(probs, 70_000, rng)
-        drawn = after_choice.choice(3, size=70_000, p=probs)
-        assert np.array_equal(counts, np.bincount(drawn, minlength=3))
-        assert rng.bit_generator.state == after_choice.bit_generator.state
-        assert rng.integers(0, 2**32, dtype=np.uint32) == after_choice.integers(
-            0, 2**32, dtype=np.uint32)
-
-    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
-    def test_generator_without_exact_advance_is_refused(self, bit_generator):
-        # MT19937 has no advance; Philox's steps a counter of four draws.
-        rng = np.random.Generator(bit_generator(1))
-        with pytest.raises(TypeError, match=bit_generator.__name__):
-            _term_counts(np.array([0.5, 0.5]), 100, rng)
 
     @pytest.mark.parametrize("on_calling_thread", [True, False])
     def test_failed_span_is_raised_after_every_span_ends(self, on_calling_thread, monkeypatch):
@@ -499,7 +486,7 @@ class TestTermCounts:
         monkeypatch.setattr(analysis, "_count_span", count_span)
         threads_before = threading.active_count()
         with pytest.raises(ValueError, match="span failed"):
-            _term_counts(np.array([0.5, 0.5]), 100_003, np.random.default_rng(1))
+            _term_counts(np.array([0.5, 0.5]), 100_003, 1)
         assert len(ended) == 2
         assert threading.active_count() == threads_before
 
@@ -561,7 +548,7 @@ class TestFactorPathMatchesDenseOracle:
         for probs in grid:
             channel = ErrorChannel.from_probs(ops, probs)
             logical = recovered_logical(rec, channel, code)
-            reports = run_experiments(code, channel, INPUT_STATES)
+            reports = run_experiments(code, [channel], INPUT_STATES)
             encoded = [encode_state(code, psi) for psi in INPUT_STATES]
             factor = recover_pure_state(rec, [channel], encoded)
             recovered = factor @ np.swapaxes(factor, -1, -2)
@@ -632,7 +619,7 @@ class TestFailedConditions:
     @pytest.mark.parametrize("name", ["divincenzo5", "shor9"])
     def test_tol_zero_names_each_missed_condition(self, name):
         seen = set()
-        reports = list(verify_code(name, tol=0.0))
+        reports = verify_code(name, tol=0.0)
         for report in reports:
             assert report.failed == self.missed(report, 0.0)
             assert report.passed == (not report.failed)
@@ -655,8 +642,8 @@ class TestFailedConditions:
 
 class TestStackedGrid:
     """verify_code runs the channels of its grid with the same number of
-    nonzero terms as stacks, yet yields what one run_experiments pass per
-    channel yields, in the same order, byte for byte."""
+    nonzero terms as stacks, yet returns what one run_experiments pass per
+    channel returns, in the same order, byte for byte."""
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
     @pytest.mark.parametrize("name", CODE_NAMES)
@@ -667,7 +654,7 @@ class TestStackedGrid:
                 report_bytes(report)
                 for probs in verification_probability_vectors(len(ops), seed=seed)
                 for report in run_experiments(
-                    name, ErrorChannel.from_probs(ops, probs), INPUT_STATES, tol
+                    name, [ErrorChannel.from_probs(ops, probs)], INPUT_STATES, tol
                 )
             ]
             got = [report_bytes(report) for report in verify_code(name, tol=tol, seed=seed)]
@@ -682,7 +669,7 @@ class TestStackedGrid:
             return check_product_form(a)
 
         monkeypatch.setattr(analysis, "check_product_form", spy)
-        cases = len(list(verify_code(name)))
+        cases = len(verify_code(name))
         states = len(INPUT_STATES)
         assert sum(s for s, _, _ in stacks) == cases
         for s, d, k in stacks:

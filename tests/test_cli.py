@@ -37,8 +37,9 @@ class TestVerify:
         assert doc["passed"] is True
 
     def test_shor9_grid_keeps_no_report(self, capsys):
-        # A shor9 report holds its ancilla state, about 0.6 MB; verify keeps
-        # only each report's line, so the grid never holds its 195 reports.
+        # No report keeps a whole 256 x 256 sigma (0.5 MB): each holds its
+        # ancilla as the block on G's nonzero rows, so the grid's 195
+        # reports and their lines stay small.
         recovery_for("shor9")  # the cached R is built outside the trace
         tracemalloc.start()
         try:
@@ -299,14 +300,23 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("source", ["--probs", "--channel-file"])
     def test_overflowing_probabilities_warn_nothing(self, source, tmp_path, capsys):
-        # A numpy RuntimeWarning would print two lines before the error.
-        spec = tmp_path / "channel.txt"
-        spec.write_text("I 1e308\nX_1 1e308\n")
-        arg = "1e308,1e308,0,0" if source == "--probs" else str(spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["trajectory", "--code", "bitflip3", source, arg]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # A numpy RuntimeWarning would print two lines before the error. The
+        # sum of 8 or more entries is pairwise, and on shor9 it adds inf to
+        # -inf.
+        for code, probs in [
+            ("bitflip3", [1e308, 1e308]),
+            ("shor9", [1e308, 1e308, -1e308, -1e308, 1.0] + [0.0] * 23),
+        ]:
+            ops = standard_error_set(get_code(code))
+            spec = tmp_path / f"{code}.txt"
+            spec.write_text("".join(f"{op.label} {p!r}\n" for op, p in zip(ops, probs)))
+            padded = probs + [0.0] * (len(ops) - len(probs))
+            arg = ",".join(map(repr, padded)) if source == "--probs" else str(spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["trajectory", "--code", code, source, arg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     # Options a command never read are not accepted: argparse exits 2.
     @pytest.mark.parametrize("command,option", [
@@ -628,11 +638,11 @@ class TestWritersMatchTheOldOnes:
 
     @pytest.mark.parametrize("seed,tol", [(42, 1e-10), (42, 0.0), (7, 1e-10), (7, 0.0)])
     def test_verify_grids(self, seed, tol, monkeypatch, capsys):
-        grids = {name: list(analysis.verify_code(name, tol=tol, seed=seed)) for name in CODE_NAMES}
+        grids = {name: analysis.verify_code(name, tol=tol, seed=seed) for name in CODE_NAMES}
 
         def replay(name, **kwargs):
             assert kwargs == {"tol": tol, "seed": seed}
-            return iter(grids[name])
+            return grids[name]
 
         monkeypatch.setattr(analysis, "verify_code", replay)
         reports = [r for name in CODE_NAMES for r in grids[name]]

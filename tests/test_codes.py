@@ -202,6 +202,7 @@ class TestEncodeState:
 
     @pytest.mark.parametrize("alpha,beta", [
         (float("nan"), 0.0), (1.0, float("nan")), (float("inf"), 0.0), (0.6, float("-inf")),
+        (1e200, 0.0),  # alpha ** 2 would raise OverflowError
     ])
     def test_rejects_non_finite_amplitudes(self, alpha, beta):
         with pytest.raises(ValueError, match="not normalized"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,12 @@ class TestErrorChannel:
     def test_rejects_arity_mismatch(self):
         with pytest.raises(ValueError, match="probabilities for"):
             bitflip_channel([1.0, 0.0])
+
+    def test_overflowing_sum_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum to inf"):
+                bitflip_channel([1e308, 1e308, 0.0, 0.0])
 
 
 class TestApplyChannel:
@@ -497,6 +505,10 @@ class TestRecoverPureState:
                 [bitflip_channel([1, 0, 0, 0]), bitflip_channel([0.5, 0.5, 0, 0])],
                 np.ones((1, 8)) / np.sqrt(8),
             )
+
+    def test_rejects_an_empty_channel_list(self):
+        with pytest.raises(ValueError, match="channel list is empty"):
+            recover_pure_state(recovery_for("bitflip3"), [], np.ones((1, 8)) / np.sqrt(8))
 
     def test_rejects_a_state_that_is_not_a_stack(self):
         with pytest.raises(ValueError, match="one vector per row"):
