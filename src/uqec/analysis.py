@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from statistics import NormalDist
 from typing import Sequence
@@ -35,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .codes import Code, PureQubitState, encode_state, get_code, standard_error_set
-from .linalg import gram
-from .recovery import ErrorChannel, RecoveryMatrix, recover_pure_state, recovery_for
+from .linalg import gram, small_kernel
+from .recovery import ErrorChannel, recover_pure_state, recovery_for
 
 DEFAULT_TOL = 1e-10
 
@@ -70,39 +70,18 @@ INPUT_STATES = (
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """One state's density matrix, as a read-only view into the stack that
-    check_product_form returns."""
+    """One state's read-only density matrix."""
 
     matrix: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class AncillaBlock:
-    """One state's reduced ancilla sigma as check_product_form returns it:
-    its block on `rows`, with +0.0 elsewhere."""
-
-    block: np.ndarray
-    rows: np.ndarray
-    dim: int
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """sigma in full, read-only, formed on first read."""
-        if self.rows.size == self.dim:
-            return self.block
-        sigma = np.zeros((self.dim, self.dim))
-        sigma[np.ix_(self.rows, self.rows)] = self.block
-        sigma.setflags(write=False)
-        return sigma
-
-
-@dataclass(frozen=True, eq=False)
 class FactorizationResult:
     """Both partial traces of one recovered state and its product-form
-    residual."""
+    residual, as RecoveryReport.factorization forms them on first read."""
 
     reduced_qubit: DensityMatrix
-    reduced_ancilla: AncillaBlock
+    reduced_ancilla: DensityMatrix
     residual: float
 
 
@@ -113,18 +92,13 @@ def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     ancilla). Returns the read-only stack of q, that of sigma's blocks on
     `rows`, `rows` itself, and each state's residual.
 
-    The factor A of rho_out = A A^T splits into the row blocks A_0, A_1 of
-    the first qubit, and each partial trace is a Gram product: q from
-    A.reshape(2, rest * k), sigma = G G^T with G = [A_0 A_1]. The residual is
-    then taken in the span of G's columns, never at full dimension: with
-    G = Q R (Householder QR, when G has fewer columns than rows) each A_i is
-    Q R_i for the column block R_i of R, so rho_out - q (x) sigma is
-    (I (x) Q)(S S^T - q (x) R R^T)(I (x) Q)^T with S = [R_0; R_1]. Q has
-    orthonormal columns, so the Frobenius norms are equal; the difference is
-    still formed entry by entry, so no cancellation floor appears. When G is
-    not thin, R = G and S = A, the dense formula itself, and `rows` is every
-    row; otherwise `rows` are G's rows nonzero in some state, off which
-    sigma is +0.0 (README, "Gram products").
+    Each partial trace is a Gram product: q of A.reshape(2, rest * k), sigma
+    of G = [A_0 A_1], A_0 and A_1 the first qubit's row blocks. When G is
+    thin, with the QR G = Q R the residual is ||S S^T - q (x) R R^T||_F for
+    S = [R_0; R_1]: Q has orthonormal columns, so it is the full residual,
+    still formed entry by entry. `rows` are then G's rows nonzero in some
+    state, off which sigma is +0.0. Otherwise R = G, S = A and `rows` is
+    every row (README, "Gram products").
     """
     s, d, k = a.shape
     rest = d // 2
@@ -134,9 +108,9 @@ def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     q = b @ np.swapaxes(b, -1, -2)
     if 2 * k < rest:
         rows = np.flatnonzero(g.any(axis=(0, 2)))
-        # Only on the same side of OpenBLAS's small-kernel line, M N K <= 1e6,
-        # does the block keep the whole product's bits.
-        if (rows.size**2 * 2 * k <= 10**6) == (rest**2 * 2 * k <= 10**6):
+        # Only on the same side of OpenBLAS's small-kernel line does the block
+        # keep the whole product's bits.
+        if small_kernel(rows.size, rows.size, 2 * k) == small_kernel(rest, rest, 2 * k):
             sigma = gram(g[:, rows])
         else:
             sigma = gram(g)[:, rows[:, None], rows]
@@ -183,49 +157,47 @@ def syndrome_distribution(
     return out
 
 
-def _require_channel_in_error_set(
-    channel: ErrorChannel, code: Code, rec: RecoveryMatrix
-) -> None:
-    if channel.dim != code.dim:
-        raise ValueError(
-            f"channel dimension {channel.dim} does not match code {code.name} "
-            f"(dimension {code.dim})"
-        )
-    unknown = [lb for lb in channel.labels if lb not in rec.class_map]
-    if unknown:
-        raise ValueError(
-            f"channel operators {unknown} are outside the {code.name} error set"
-        )
-
-
 # The conditions a case must meet, in the order RecoveryReport.failed lists them.
 CONDITIONS = ("fidelity", "product_form", "ancilla_diagonal", "syndrome_trace")
 
 
 @dataclass(frozen=True, eq=False)
 class RecoveryReport:
-    """One full encode -> channel -> recover -> factorize run."""
+    """One full encode -> channel -> recover -> factorize run, with read-only
+    views into its pass's stacks: the reduced qubit q, and the reduced
+    ancilla sigma's block on ancilla_rows (sigma is +0.0 off it)."""
 
     code: str
     channel: tuple[tuple[str, float], ...]
     alpha: float
     beta: float
     fidelity: float
-    factorization: FactorizationResult
+    residual: float
     # Largest |sigma[i, j]|, i != j, of the reduced ancilla sigma.
     max_offdiagonal: float
     syndrome: tuple[tuple[str, float], ...]
     # The CONDITIONS this case missed at its tolerance.
     failed: tuple[str, ...]
     tolerance: float
+    qubit: np.ndarray = field(repr=False)
+    ancilla: np.ndarray = field(repr=False)
+    ancilla_rows: np.ndarray = field(repr=False)
 
     @property
     def passed(self) -> bool:
         return not self.failed
 
-    @property
-    def residual(self) -> float:
-        return self.factorization.residual
+    @cached_property
+    def factorization(self) -> FactorizationResult:
+        """q, the whole read-only sigma and the residual, formed on first read
+        and kept; sigma is the block itself when ancilla_rows is every row."""
+        rows, dim = self.ancilla_rows, recovery_for(self.code).ancilla_dim
+        sigma = self.ancilla
+        if rows.size < dim:
+            sigma = np.zeros((dim, dim))
+            sigma[np.ix_(rows, rows)] = self.ancilla
+            sigma.setflags(write=False)
+        return FactorizationResult(DensityMatrix(self.qubit), DensityMatrix(sigma), self.residual)
 
 
 def run_experiments(
@@ -248,8 +220,6 @@ def run_experiments(
     diagonal as the syndrome."""
     code = get_code(code) if isinstance(code, str) else code
     rec = recovery_for(code.name)
-    for channel in channels:
-        _require_channel_in_error_set(channel, code, rec)
     encoded = np.array([encode_state(code, psi) for psi in states])
     a = recover_pure_state(rec, channels, encoded)
     q, sigma, rows, residuals = check_product_form(a)
@@ -283,14 +253,14 @@ def run_experiments(
                 alpha=psi.alpha,
                 beta=psi.beta,
                 fidelity=fids[i],
-                factorization=FactorizationResult(
-                    DensityMatrix(q[i]), AncillaBlock(sigma[i], rows, rec.ancilla_dim),
-                    residuals[i],
-                ),
+                residual=residuals[i],
                 max_offdiagonal=max_offs[i],
                 syndrome=tuple(syndromes[i]),
                 failed=tuple(cond for cond, ok in zip(CONDITIONS, met) if not ok),
                 tolerance=tol,
+                qubit=q[i],
+                ancilla=sigma[i],
+                ancilla_rows=rows,
             ))
     return reports
 
@@ -412,7 +382,7 @@ def trajectory_statistics(
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     code = get_code(code) if isinstance(code, str) else code
     rec = recovery_for(code.name)
-    _require_channel_in_error_set(channel, code, rec)
+    rec.check_channel(channel)
     encoded = encode_state(code, psi)
     probs = channel.probabilities
     counts = _term_counts(probs, samples, seed)
@@ -464,11 +434,6 @@ def _term_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
     """How many of `samples` draws land on each term: the counts of numpy's
     default_rng(seed).choice(len(probs), size=samples, p=probs), bit for
     bit, in memory that does not grow with `samples`.
-
-    Generator.choice forms cdf = probs.cumsum() / its last entry, draws
-    u = rng.random(samples) and gives each draw the term #{j : cdf_j <= u}.
-    So #{u < cdf_j} draws land on term j or below, and a sorted chunk of u
-    gives that number by one searchsorted of the cdf.
 
     The draw is cut into contiguous spans of whole chunks, each counted on
     its own thread from default_rng(seed)'s PCG64 advanced to the span's

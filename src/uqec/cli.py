@@ -3,8 +3,8 @@ matrix dumps, and Monte Carlo trajectory cross-checks. It owns every input
 and output format: `--probs` and channel files become an ErrorChannel on one
 path (_resolve_channel), and every record is written here from a template.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-configuration error, reported as one `error:` line on stderr.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 a usage,
+configuration or output error, reported as one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -262,15 +262,33 @@ def _csv_document(rows: list[list]) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+    """Write a command's output to `output`, or to stdout; a failed write to
+    either (a closed pipe, a full disk) is a CliError."""
+    text = text if text.endswith("\n") else text + "\n"
+    if output is not None:
         try:
-            Path(output).write_text(text if text.endswith("\n") else text + "\n")
+            Path(output).write_text(text)
         except OSError as exc:
             raise CliError(f"cannot write {output}: {exc}") from exc
+        return
+    out = sys.stdout
+    try:
+        if not hasattr(out, "buffer"):  # a text stream such as io.StringIO
+            out.write(text)
+        else:
+            # A pipe closed during a large write can take part of it with no
+            # error; the write of the rest then fails.
+            out.flush()
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[out.buffer.write(data):]
+        out.flush()
+    except OSError as exc:
+        import os  # for this error path alone
+
+        # Python flushes stdout again at exit: os.devnull takes what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        raise CliError(f"cannot write to stdout: {exc}") from exc
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -368,7 +386,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
             )
     except OSError as exc:
         raise CliError(f"cannot write to {out_dir}: {exc}") from exc
-    sys.stdout.write("\n".join(f"wrote {out_dir / f}" for f in written) + "\n")
+    _emit("\n".join(f"wrote {out_dir / f}" for f in written), None)
     return EXIT_OK
 
 

@@ -31,8 +31,9 @@ class PureQubitState:
     beta: float
 
     def __post_init__(self) -> None:
-        # Written so that NaN and inf amplitudes fail it.
-        if not abs(self.alpha * self.alpha + self.beta * self.beta - 1.0) <= 1e-12:
+        # Written so that NaN and inf fail it; Python floats overflow silently.
+        a, b = float(self.alpha), float(self.beta)
+        if not abs(a * a + b * b - 1.0) <= 1e-12:
             raise ValueError(f"state ({self.alpha}, {self.beta}) is not normalized")
 
 

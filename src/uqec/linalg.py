@@ -113,6 +113,12 @@ def orthogonality_deviation(m: np.ndarray, split: tuple | None = None) -> float:
     return float(np.max([dev.max(initial=0.0), np.abs(rest[:, cols]).max(initial=0.0), shared]))
 
 
+def small_kernel(m: int, n: int, k: int) -> bool:
+    """Whether OpenBLAS's dgemm of m x k by k x n takes its small-matrix
+    kernel, whose bits differ from the blocked one's (README, "Dense rows of R")."""
+    return m * n * k <= 10**6
+
+
 def gram(b: np.ndarray) -> np.ndarray:
     """b @ b^T for a matrix b, or for each matrix of a stack, by gemm, not
     syrk and its mirror loop (README, "Gram products")."""

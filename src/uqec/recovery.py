@@ -20,7 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .codes import Code, ErrorOperator, get_code, standard_error_set
-from .linalg import ORTHONORMAL_TOL, gram_schmidt_extend, orthogonality_deviation, unit_rows
+from .linalg import (
+    ORTHONORMAL_TOL, gram_schmidt_extend, orthogonality_deviation, small_kernel, unit_rows,
+)
 
 # Operators whose shifted codewords differ by less than this act identically
 # on the code space and share an error class.
@@ -192,12 +194,21 @@ class RecoveryMatrix:
         d, k = self.dim, w.shape[-1]
         # The full product where nothing is skipped, where it costs less than
         # a gather, and across OpenBLAS's small-kernel line (README).
-        if not 0 < dense.size < d or (dense.size * d * k <= 10**6) != (d * d * k <= 10**6):
+        if not 0 < dense.size < d or small_kernel(dense.size, k, d) != small_kernel(d, k, d):
             return self.matrix @ v
         out = np.take(w, top, axis=-2)
         out += 0.0
         out[..., dense, :] = block @ w
         return out.reshape(v.shape)
+
+    def check_channel(self, channel: ErrorChannel) -> None:
+        """Reject a channel that R does not recover: one of another dimension,
+        or with an operator that class_map does not place."""
+        if channel.dim != self.dim:
+            raise ValueError(f"channel dimension {channel.dim} and R's {self.dim} differ")
+        unknown = [lb for lb in channel.labels if lb not in self.class_map]
+        if unknown:
+            raise ValueError(f"channel operators {unknown} are outside R's error set")
 
     @property
     def dim(self) -> int:
@@ -312,12 +323,10 @@ def recover_pure_state(
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError(f"states must be one vector per row, got shape {states.shape}")
+    if states.shape[1] != recovery.dim:
+        raise ValueError(f"state dimension {states.shape[1]} and R's {recovery.dim} differ")
     for channel in channels:
-        if not recovery.dim == channel.dim == states.shape[1]:
-            raise ValueError(
-                f"recovery dimension {recovery.dim}, channel dimension {channel.dim} "
-                f"and state dimension {states.shape[1]} differ"
-            )
+        recovery.check_channel(channel)
     if not channels:
         raise ValueError("the channel list is empty")
     terms = [[(p, op) for p, op in channel.terms if p > 0] for channel in channels]

@@ -251,7 +251,7 @@ def assert_ancilla_is_the_whole_gram(
         assert [lb for lb, _ in report.syndrome] == [lb for lb, _ in syndrome]
         got = np.array([p for _, p in report.syndrome] + [report.max_offdiagonal])
         assert got.tobytes() == np.array([p for _, p in syndrome] + [max_off]).tobytes()
-        smaller += ancilla.rows.size < rec.ancilla_dim
+        smaller += report.ancilla_rows.size < rec.ancilla_dim
     return smaller
 
 

@@ -131,7 +131,7 @@ class TestAncillaOnNonzeroRows:
     """When G = [A_0 A_1] is thin, check_product_form forms sigma on G's
     nonzero rows alone, or gathers that block from the whole Gram where the
     block's gemm would take the other OpenBLAS kernel, and a report forms
-    sigma in full only when its matrix is read. Every number a report
+    sigma in full only when its factorization is read. Every number a report
     carries, and sigma's bytes and signs, must be those of the whole Gram."""
 
     @pytest.mark.parametrize("name", CODE_NAMES)
@@ -148,14 +148,23 @@ class TestAncillaOnNonzeroRows:
     def test_matrix_is_formed_once_and_read_only(self):
         channel = channel_for("shor9", np.eye(28)[5])
         (report,) = run_experiments("shor9", [channel], INPUT_STATES[2:3])
-        ancilla = report.factorization.reduced_ancilla
-        assert ancilla.rows.size < ancilla.dim == 256
-        sigma = ancilla.matrix
+        assert report.ancilla_rows.size < 256
+        assert report.factorization is report.factorization
+        sigma = report.factorization.reduced_ancilla.matrix
         assert sigma.shape == (256, 256)
-        assert ancilla.matrix is sigma
         assert not sigma.flags.writeable
         with pytest.raises(ValueError):
             sigma[0, 0] = 2.0
+
+    def test_a_fresh_report_holds_no_factorization(self):
+        # The records are built on first read, not by run_experiments.
+        channel = channel_for("bitflip3", [0.5, 0.5, 0, 0])
+        reports = run_experiments("bitflip3", [channel], INPUT_STATES)
+        assert all("factorization" not in vars(r) for r in reports)
+        # G is not thin, so the block is the whole sigma, and is read as it is.
+        assert reports[0].factorization.reduced_ancilla.matrix is reports[0].ancilla
+        assert "factorization" in vars(reports[0])
+        assert "factorization" not in vars(reports[1])
 
     def test_one_term_shor9_pass_forms_no_whole_sigma(self):
         # The stack of five whole 256 x 256 ancilla Grams alone is 2.6 MB.
@@ -407,6 +416,12 @@ class TestTrajectoryStatistics:
         assert entry.class_label == "{Z_1,Z_2,Z_3}"
         assert entry.count == 200
         assert report.passed
+
+    def test_rejects_channel_outside_error_set(self):
+        ops = (error_operator("I", 0, 3), error_operator("Z", 1, 3))
+        channel = ErrorChannel.from_probs(ops, [0.5, 0.5])
+        with pytest.raises(ValueError, match="outside"):
+            trajectory_statistics("bitflip3", channel, PureQubitState(0.6, 0.8))
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_is_an_error(self, samples):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -230,6 +233,31 @@ class TestOutputFile:
         ])
         assert rc == 0
         assert json.loads(target.read_text())["passed"] is True
+
+
+class TestClosedStdout:
+    """A stdout whose reader is gone ends like an unwritable --output: exit 2
+    and one `error:` line, with no traceback and nothing printed at exit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--code", "bitflip3", "--format", "json"],
+        ["dump", "--code", "bitflip3", "--output", "{tmp}"],
+    ])
+    def test_exit_2_and_one_error_line(self, argv, tmp_path):
+        package_root = str(Path(cli.__file__).parents[1])
+        path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "uqec.cli", *(a.format(tmp=tmp_path) for a in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: cannot write to stdout: [Errno 32] Broken pipe"]
 
 
 class TestMalformedInput:

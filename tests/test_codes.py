@@ -208,6 +208,15 @@ class TestEncodeState:
         with pytest.raises(ValueError, match="not normalized"):
             PureQubitState(alpha, beta)
 
+    # A numpy scalar's product warns on overflow where a Python float's does
+    # not, and pytest turns that RuntimeWarning into an error.
+    @pytest.mark.parametrize("alpha,beta", [
+        (np.float64(1e200), 0.0), (0.0, np.float64(-1e200)), (np.float64(np.inf), 0.0),
+    ], ids=["np-1e200-0", "0-np--1e200", "np-inf-0"])
+    def test_rejects_numpy_scalar_amplitudes_without_warning(self, alpha, beta):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureQubitState(alpha, beta)
+
 
 class TestEncodingUnitary:
     def test_bitflip3_is_controlled_notnot(self):

@@ -498,6 +498,13 @@ class TestRecoverPureState:
                 recovery_for("divincenzo5"), [bitflip_channel([1, 0, 0, 0])], np.ones((1, 8)) / np.sqrt(8)
             )
 
+    def test_rejects_a_channel_outside_the_error_set(self):
+        # Z_1 is not one of the repetition code's correctable operators.
+        ops = (error_operator("I", 0, 3), error_operator("Z", 1, 3))
+        channel = ErrorChannel.from_probs(ops, [0.5, 0.5])
+        with pytest.raises(ValueError, match="outside"):
+            recover_pure_state(recovery_for("bitflip3"), [channel], np.ones((1, 8)) / np.sqrt(8))
+
     def test_rejects_channels_of_different_term_counts(self):
         with pytest.raises(ValueError, match="same number of nonzero terms"):
             recover_pure_state(
