@@ -373,10 +373,11 @@ def trajectory_statistics(
     Each entry reports its own 3-sigma binomial bound. The verdict instead
     tests all terms as one family at TRAJECTORY_ALPHA: every term's |z| must
     lie within the Sidak per-term bound, and a term with probability 0 or 1
-    must have exactly that frequency.
+    must have exactly that frequency. Both take p clipped to [0, 1], which
+    ErrorChannel's sum rule lets a certain term pass by a rounding step.
 
     The channel term drawn determines the corrupted vector completely, so the
-    per-sample recovery is computed once per term and shared by its samples.
+    recovery is computed once per drawn term and shared by its samples.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
@@ -386,47 +387,45 @@ def trajectory_statistics(
     encoded = encode_state(code, psi)
     probs = channel.probabilities
     counts = _term_counts(probs, samples, seed)
-    z_bound = _sidak_z_bound(len(probs))
-
+    p = np.clip(probs, 0.0, 1.0)
+    freqs = counts / samples
+    sds = np.sqrt(p * (1.0 - p) / samples)
+    bounds = 3.0 * sds
+    offs = np.abs(freqs - p)
+    certain = (p <= 0.0) | (p >= 1.0)
+    # offs / sds is each term's |z|; a certain term, whose sds is 0, is
+    # tested by freqs == p instead.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frequencies_ok = np.where(certain, freqs == p, offs / sds <= _sidak_z_bound(len(p))).all()
     entries = []
     worst = 0.0
-    frequencies_ok = True
-    for i, (p, op) in enumerate(channel.terms):
-        recovered = rec.apply(op.apply(encoded))
+    for (prob, op), count, freq, bound, off in zip(
+        channel.terms, counts.tolist(), freqs.tolist(), bounds.tolist(), offs.tolist()
+    ):
         c = rec.class_map[op.label]
-        target = np.zeros(rec.dim)
-        target[c] = psi.alpha
-        target[rec.ancilla_dim + c] = psi.beta
-        err = float(np.linalg.norm(recovered - target))
-        freq = counts[i] / samples
-        bound = 3.0 * np.sqrt(p * (1.0 - p) / samples)
-        within = abs(freq - p) <= bound
-        if p <= 0.0 or p >= 1.0:
-            frequencies_ok = frequencies_ok and freq == p
-        else:
-            z = abs(freq - p) / np.sqrt(p * (1.0 - p) / samples)
-            frequencies_ok = frequencies_ok and z <= z_bound
+        if count > 0:
+            target = np.zeros(rec.dim)
+            target[c] = psi.alpha
+            target[rec.ancilla_dim + c] = psi.beta
+            worst = max(worst, float(np.linalg.norm(rec.apply(op.apply(encoded)) - target)))
         entries.append(
             TrajectoryEntry(
                 label=op.label,
                 class_label=rec.class_labels[c],
-                probability=float(p),
-                count=int(counts[i]),
-                frequency=float(freq),
-                bound_3sigma=float(bound),
-                within_bound=within,
+                probability=prob,
+                count=count,
+                frequency=freq,
+                bound_3sigma=bound,
+                within_bound=off <= bound,
             )
         )
-        if counts[i] > 0:
-            worst = max(worst, err)
-    passed = frequencies_ok and worst <= tol
     return TrajectoryReport(
         code=code.name,
         samples=samples,
         seed=seed,
         entries=tuple(entries),
         max_recovery_error=worst,
-        passed=passed,
+        passed=bool(frequencies_ok) and worst <= tol,
     )
 
 
@@ -438,7 +437,8 @@ def _term_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
     The draw is cut into contiguous spans of whole chunks, each counted on
     its own thread from default_rng(seed)'s PCG64 advanced to the span's
     first draw, which gives exactly that span's uniforms (README,
-    "trajectory"). A span that raises is raised here once every span has
+    "trajectory"). A span whose thread cannot start is counted on the
+    calling thread. A span that raises is raised here once every span has
     ended.
     """
     cdf = np.cumsum(probs)
@@ -455,12 +455,17 @@ def _term_counts(probs: np.ndarray, samples: int, seed: int) -> np.ndarray:
         except BaseException as exc:  # re-raised below, after every join
             results[w] = exc
 
-    threads = []
+    threads, here = [], [0]
     try:
         for w in range(1, spans):
-            threads.append(threading.Thread(target=count, args=(w,)))
-            threads[-1].start()
-        count(0)
+            thread = threading.Thread(target=count, args=(w,))
+            try:
+                thread.start()
+                threads.append(thread)
+            except RuntimeError:  # no thread to be had: count the span here
+                here.append(w)
+        for w in here:
+            count(w)
     finally:
         for thread in threads:
             thread.join()

@@ -334,7 +334,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
             f"input:     alpha={report.alpha:.6g} beta={report.beta:.6g}",
             f"channel:   {_pairs(report.channel)}",
             f"fidelity:  {report.fidelity:.12f}",
-            f"residual:  {report.residual:.3e} (product form: {report.residual <= report.tolerance})",
+            f"residual:  {report.residual:.3e} "
+            f"(product form: {'product_form' not in report.failed})",
             f"syndrome:  {_pairs(report.syndrome)}",
             f"verdict:   {'PASS' if report.passed else 'FAIL'} at tolerance {report.tolerance:g}",
         ])
@@ -461,7 +462,13 @@ def main(argv: list[str] | None = None) -> int:
         _check_numbers(args)
         return _COMMANDS[args.command](args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:  # stderr is gone too; the exit code still says usage
+            import os  # for this error path alone
+
+            # Python flushes stderr again at exit: os.devnull takes what is left.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return EXIT_USAGE
 
 

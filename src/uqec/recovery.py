@@ -166,7 +166,6 @@ class RecoveryMatrix:
 
     matrix: np.ndarray = field(repr=False)
     classes: tuple[tuple[str, ...], ...]
-    class_map: dict[str, int]
     # max |R R^T - I|, set on construction.
     orthogonality_deviation: float = field(init=False)
     # The row of v each unit row copies (argmax), R's dense rows and a copy.
@@ -219,6 +218,11 @@ class RecoveryMatrix:
         return self.dim // 2
 
     @cached_property
+    def class_map(self) -> dict[str, int]:
+        """The error class of each operator label."""
+        return {label: c for c, members in enumerate(self.classes) for label in members}
+
+    @cached_property
     def class_labels(self) -> tuple[str, ...]:
         return tuple(_class_label(c) for c in self.classes)
 
@@ -268,12 +272,7 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
         free = list(range(k, half)) + list(range(half + k, d))
         rows[free] = completion
 
-    class_map = {ops[i].label: c for c, grp in enumerate(groups) for i in grp}
-    return RecoveryMatrix(
-        matrix=rows,
-        classes=report.classes,
-        class_map=class_map,
-    )
+    return RecoveryMatrix(matrix=rows, classes=report.classes)
 
 
 def recovery_row_order(code: Code) -> tuple[ErrorOperator, ...]:

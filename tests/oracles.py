@@ -13,6 +13,7 @@ as references for the bytes the templates must write.
 
 import csv
 import io
+import math
 from json.encoder import encode_basestring_ascii as json_string
 
 import numpy as np
@@ -163,6 +164,22 @@ def choice_counts(probs, samples, seed):
     rng = np.random.default_rng(seed)
     drawn = rng.choice(len(probs), size=samples, p=probs)
     return np.bincount(drawn, minlength=len(probs))
+
+
+def trajectory_frequencies_loop(probs, counts, samples, z_bound):
+    """The trajectory frequency statistics one term at a time, in Python
+    floats: (frequency, 3-sigma bound, within it) per term, and the family
+    verdict (|z| within z_bound, and a certain term at exactly its p)."""
+    rows, ok = [], True
+    for p, count in zip(probs, counts):
+        freq = count / samples
+        sd = math.sqrt(p * (1.0 - p) / samples)
+        rows.append((freq, 3.0 * sd, abs(freq - p) <= 3.0 * sd))
+        if p <= 0.0 or p >= 1.0:
+            ok = ok and freq == p
+        else:
+            ok = ok and abs(freq - p) / sd <= z_bound
+    return rows, ok
 
 
 def conventional_recovery(isometries, V):

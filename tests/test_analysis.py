@@ -34,7 +34,7 @@ from uqec.codes import (
     standard_error_set,
 )
 from uqec.linalg import basis_vector
-from uqec.recovery import ErrorChannel, recover_pure_state, recovery_for
+from uqec.recovery import ErrorChannel, RecoveryMatrix, recover_pure_state, recovery_for
 
 from dense import (
     DensityMatrix,
@@ -48,6 +48,7 @@ from dense import (
     report_bytes,
     verify_permutation_factorization_3qubit,
 )
+import oracles
 from oracles import choice_counts, conventional_recovery, group_pairs_brute, pauli_brute
 
 
@@ -423,6 +424,65 @@ class TestTrajectoryStatistics:
         with pytest.raises(ValueError, match="outside"):
             trajectory_statistics("bitflip3", channel, PureQubitState(0.6, 0.8))
 
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_array_statistics_match_the_term_by_term_loop(self, name):
+        # Dirichlet, sparse, one-hot and peaked channels, at sample counts
+        # that leave terms undrawn and at tol 0, where some runs fail.
+        k = len(standard_error_set(get_code(name)))
+        rng = np.random.default_rng(26)
+        for i in range(12):
+            probs = [
+                rng.dirichlet(np.ones(k)),
+                rng.dirichlet(np.ones(3)).tolist() + [0.0] * (k - 3),
+                _one_hot(k, int(rng.integers(k))),
+                rng.dirichlet(np.full(k, 0.05)),
+            ][i % 4]
+            samples = [1, 7, 1000, 100_003][i // 4 % 4]
+            tol = [DEFAULT_TOL, 0.0][i % 2]
+            report = trajectory_statistics(
+                name, channel_for(name, probs), INPUT_STATES[i % 5], samples=samples,
+                seed=i, tol=tol,
+            )
+            counts = [e.count for e in report.entries]
+            rows, ok = oracles.trajectory_frequencies_loop(
+                [e.probability for e in report.entries], counts, samples,
+                analysis._sidak_z_bound(k),
+            )
+            assert [(e.frequency, e.bound_3sigma, e.within_bound) for e in report.entries] == rows
+            assert report.passed == (ok and report.max_recovery_error <= tol)
+
+    def test_a_certain_term_off_its_probability_fails(self, monkeypatch):
+        # No draw of numpy's lands on a term of probability 0, so the counts
+        # are forged: one of 1000 draws on X_1.
+        forged = np.array([999, 1, 0, 0])
+        monkeypatch.setattr(analysis, "_term_counts", lambda probs, n, seed: forged)
+        report = trajectory_statistics(
+            "bitflip3", channel_for("bitflip3", [1.0, 0, 0, 0]), PureQubitState(0.6, 0.8),
+            samples=1000,
+        )
+        assert report.max_recovery_error == 0.0
+        assert [e.within_bound for e in report.entries] == [False, False, True, True]
+        assert not report.passed
+
+    def test_recovers_only_the_drawn_terms(self, monkeypatch):
+        # max_recovery_error reads the drawn terms alone; Z_3 (index 27) is
+        # the one drawn here.
+        applied = []
+        apply = RecoveryMatrix.apply
+
+        def spy(rec, v):
+            applied.append(v)
+            return apply(rec, v)
+
+        monkeypatch.setattr(RecoveryMatrix, "apply", spy)
+        report = trajectory_statistics(
+            "shor9", channel_for("shor9", _one_hot(28, 27)), PureQubitState(0.6, 0.8),
+            samples=100, seed=1,
+        )
+        assert len(applied) == 1
+        assert [e.count for e in report.entries] == [0] * 27 + [100]
+        assert report.passed
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_is_an_error(self, samples):
         # With no draws every frequency would be 0/0.
@@ -503,6 +563,27 @@ class TestTermCounts:
         with pytest.raises(ValueError, match="span failed"):
             _term_counts(np.array([0.5, 0.5]), 100_003, 1)
         assert len(ended) == 2
+        assert threading.active_count() == threads_before
+
+    def test_span_whose_thread_cannot_start_is_counted_here(self, monkeypatch):
+        # 100003 draws in 3 spans: the thread of span 1 cannot start, so the
+        # calling thread counts spans 0 and 1, and one thread span 2.
+        monkeypatch.setattr(analysis, "_span_count", lambda chunks: 3)
+        start = threading.Thread.start
+        started = []
+
+        def start_all_but_the_first(thread):
+            started.append(thread)
+            if len(started) == 1:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_all_but_the_first)
+        threads_before = threading.active_count()
+        probs = np.random.default_rng(4).dirichlet(np.ones(28))
+        counts = _term_counts(probs, 100_003, 9)
+        assert np.array_equal(counts, choice_counts(probs, 100_003, 9))
+        assert len(started) == 2
         assert threading.active_count() == threads_before
 
     def test_span_count_follows_the_usable_cpus(self):

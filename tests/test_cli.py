@@ -212,6 +212,26 @@ class TestTrajectory:
         }
         assert doc["entries"][20]["class"] == "{Z_1,Z_2,Z_3}"
 
+    def test_certain_term_one_rounding_step_above_1(self, capsys):
+        # ErrorChannel's 1e-12 sum rule accepts this p. Its statistics take
+        # it clipped to 1: no sqrt of a negative number, no NaN bound.
+        rc = main([
+            "trajectory", "--code", "bitflip3", "--probs", "1.0000000000005,0,0,0",
+            "--samples", "1000", "--format", "json",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert '"bound_3sigma": 0,' in out
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["entries"][0]["p"] == 1.0000000000005
+        assert doc["entries"][0]["count"] == 1000
+        assert doc["entries"][0]["within"] is True
+        assert doc["passed"] is True
+
     def test_shor9_degenerate_classification(self, capsys):
         probs = ["0"] * 28
         probs[20] = "1"  # Z_2
@@ -235,6 +255,27 @@ class TestOutputFile:
         assert json.loads(target.read_text())["passed"] is True
 
 
+def run_on_a_closed_pipe(argv, stderr_too=False):
+    """Run `python -m uqec.cli argv` with stdout, and stderr too if
+    `stderr_too`, on one pipe whose read end is closed before the run."""
+    package_root = str(Path(cli.__file__).parents[1])
+    path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    # Buffered stderr, as in a plain interpreter: a failed write then stays
+    # in the buffer for the flush at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "uqec.cli", *argv],
+            stdout=write_end, stderr=write_end if stderr_too else subprocess.PIPE,
+            text=True, timeout=120, env=env,
+        )
+    finally:
+        os.close(write_end)
+
+
 class TestClosedStdout:
     """A stdout whose reader is gone ends like an unwritable --output: exit 2
     and one `error:` line, with no traceback and nothing printed at exit."""
@@ -244,20 +285,19 @@ class TestClosedStdout:
         ["dump", "--code", "bitflip3", "--output", "{tmp}"],
     ])
     def test_exit_2_and_one_error_line(self, argv, tmp_path):
-        package_root = str(Path(cli.__file__).parents[1])
-        path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "uqec.cli", *(a.format(tmp=tmp_path) for a in argv)],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-                env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-            )
-        finally:
-            os.close(write_end)
+        proc = run_on_a_closed_pipe([a.format(tmp=tmp_path) for a in argv])
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["error: cannot write to stdout: [Errno 32] Broken pipe"]
+
+    # The `error:` line cannot be written either; exit 1 would say that a
+    # verification failed.
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--code", "nosuch"],
+        ["verify", "--code", "bitflip3"],
+        ["trajectory", "--code", "all", "--probs", "1,0,0,0"],
+    ])
+    def test_closed_stderr_too_still_exits_2(self, argv):
+        assert run_on_a_closed_pipe(argv, stderr_too=True).returncode == 2
 
 
 class TestMalformedInput:
@@ -283,6 +323,17 @@ class TestMalformedInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,line", [
+        (["demo", "--code", "bitflip3", "--probs", "1,0,0,0"], "--alpha and --beta are required"),
+        (["demo", "--code", "all", "--probs", "1,0,0,0", "--alpha", "0.6", "--beta", "0.8"],
+         "demo needs a single code, not 'all'"),
+        (["trajectory", "--code", "all", "--probs", "1,0,0,0"],
+         "trajectory needs a single code, not 'all'"),
+    ])
+    def test_no_input_state_or_no_single_code(self, argv, line, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
     def test_unparsable_probability_names_its_line(self, tmp_path, capsys):
         spec = tmp_path / "channel.txt"

@@ -248,6 +248,16 @@ def test_code_rejects_nan_in_a_logical_vector(which):
         Code("x", 1, *logical)
 
 
+def test_code_rejects_a_logical_vector_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="must have dimension 2"):
+        Code("x", 1, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def test_code_rejects_non_orthogonal_logical_vectors():
+    with pytest.raises(ValueError, match="must be orthogonal"):
+        Code("x", 1, np.array([1.0, 0.0]), np.array([0.6, 0.8]))
+
+
 def test_get_code_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown code"):
         get_code("steane7")

@@ -167,6 +167,11 @@ class TestErrorChannel:
         with pytest.raises(ValueError, match="probabilities for"):
             bitflip_channel([1.0, 0.0])
 
+    def test_rejects_mixed_dimensions(self):
+        ops = (error_operator("I", 0, 3), error_operator("X", 1, 2))
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            ErrorChannel.from_probs(ops, [0.5, 0.5])
+
     def test_overflowing_sum_warns_nothing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -316,7 +321,7 @@ class TestBuildRecovery:
         else:
             m[3] = m[1]
         with pytest.raises(ValueError, match="not orthogonal"):
-            RecoveryMatrix(matrix=m, classes=(), class_map={})
+            RecoveryMatrix(matrix=m, classes=())
 
 
 def kl_fields_pairwise(code, ops):
