@@ -371,10 +371,11 @@ def trajectory_statistics(
     frequencies against the channel probabilities.
 
     Each entry reports its own 3-sigma binomial bound. The verdict instead
-    tests all terms as one family at TRAJECTORY_ALPHA: every term's |z| must
-    lie within the Sidak per-term bound, and a term with probability 0 or 1
-    must have exactly that frequency. Both take p clipped to [0, 1], which
-    ErrorChannel's sum rule lets a certain term pass by a rounding step.
+    tests all terms as one family at TRAJECTORY_ALPHA: each term's |z| =
+    |count - n p| / sqrt(n p (1 - p)), tested without the division, must lie
+    within the Sidak per-term bound, so a term of probability 0 or 1 needs
+    exactly n p draws. Both take p clipped to [0, 1], which ErrorChannel's
+    sum rule lets a certain term pass by a rounding step.
 
     The channel term drawn determines the corrupted vector completely, so the
     recovery is computed once per drawn term and shared by its samples.
@@ -389,14 +390,11 @@ def trajectory_statistics(
     counts = _term_counts(probs, samples, seed)
     p = np.clip(probs, 0.0, 1.0)
     freqs = counts / samples
-    sds = np.sqrt(p * (1.0 - p) / samples)
-    bounds = 3.0 * sds
+    bounds = 3.0 * np.sqrt(p * (1.0 - p) / samples)
     offs = np.abs(freqs - p)
-    certain = (p <= 0.0) | (p >= 1.0)
-    # offs / sds is each term's |z|; a certain term, whose sds is 0, is
-    # tested by freqs == p instead.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frequencies_ok = np.where(certain, freqs == p, offs / sds <= _sidak_z_bound(len(p))).all()
+    mean = samples * p
+    z_bound = _sidak_z_bound(len(p))
+    frequencies_ok = (np.abs(counts - mean) <= z_bound * np.sqrt(mean * (1.0 - p))).all()
     entries = []
     worst = 0.0
     for (prob, op), count, freq, bound, off in zip(

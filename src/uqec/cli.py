@@ -4,15 +4,19 @@ and output format: `--probs` and channel files become an ErrorChannel on one
 path (_resolve_channel), and every record is written here from a template.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 a usage,
-configuration or output error, reported as one `error:` line on stderr.
+configuration or output error. main returns 2 for every failure, argparse's
+included, after one `error:` line on stderr. Every byte goes out through
+_write, where a closed pipe or descriptor is a failed write.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import analysis
 from .codes import CODE_NAMES, PureQubitState, encoding_unitary, get_code, standard_error_set
-from .linalg import write_matrix
+from .linalg import format_matrix
 from .recovery import ErrorChannel, recovery_for, validate_kl
 
 EXIT_OK = 0
@@ -40,11 +44,14 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse error is one `error:` line and exit 2, like a CliError.
-    Subparsers are made with the parser's own class, so they inherit it."""
+    """An error is a CliError and help goes out through _emit, so argparse
+    neither writes nor exits on its own; subparsers, of this class, inherit both."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(EXIT_USAGE, f"error: {message}\n")
+        raise CliError(message)
+
+    def print_help(self, file=None) -> None:
+        _emit(self.format_help(), None)
 
 
 @cache
@@ -68,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--code", default=code_default, required=code_default is None,
                        help="code name: bitflip3, divincenzo5, shor9")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
+            p.add_argument("--tol", type=float, default=analysis.DEFAULT_TOL,
+                           help="pass/fail tolerance")
         if seed:
             p.add_argument("--seed", type=int, default=42, help="RNG seed (>= 0)")
         p.add_argument("--output", default=None, help="write output here instead of stdout")
@@ -261,34 +269,40 @@ def _csv_document(rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write a command's output to `output`, or to stdout; a failed write to
-    either (a closed pipe, a full disk) is a CliError."""
-    text = text if text.endswith("\n") else text + "\n"
-    if output is not None:
-        try:
-            Path(output).write_text(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {output}: {exc}") from exc
-        return
-    out = sys.stdout
+def _write(stream, text: str) -> None:
+    """Write all of `text` to `stream`, sys.stdout or sys.stderr; None (its
+    descriptor was closed at start) is a failed write. A failed write points
+    the descriptor at the null device, so that Python's flush at exit cannot
+    fail too (exit 120), and raises its OSError again."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     try:
-        if not hasattr(out, "buffer"):  # a text stream such as io.StringIO
-            out.write(text)
+        if not hasattr(stream, "buffer"):  # a text stream such as io.StringIO
+            stream.write(text)
         else:
             # A pipe closed during a large write can take part of it with no
             # error; the write of the rest then fails.
-            out.flush()
-            data = memoryview(text.encode(out.encoding, out.errors))
+            stream.flush()
+            data = memoryview(text.encode(stream.encoding, stream.errors))
             while data:
-                data = data[out.buffer.write(data):]
-        out.flush()
-    except OSError as exc:
-        import os  # for this error path alone
+                data = data[stream.buffer.write(data):]
+        stream.flush()
+    except OSError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+        raise
 
-        # Python flushes stdout again at exit: os.devnull takes what is left.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-        raise CliError(f"cannot write to stdout: {exc}") from exc
+
+def _emit(text: str, output: str | Path | None) -> None:
+    """Write a command's output to the file `output` or to stdout; a failed write is a CliError."""
+    text = text if text.endswith("\n") else text + "\n"
+    try:
+        if output is None:
+            _write(sys.stdout, text)
+        else:
+            Path(output).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {'to stdout' if output is None else output}: {exc}") from exc
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -315,10 +329,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if r.channel is not terms:
                 terms, channel = r.channel, pairs(r.channel)
             lines.append(line(r, channel))
-    if args.format == "csv":
-        _emit(_csv_document(lines), args.output)
-    else:
-        _emit("\n".join(lines), args.output)
+    _emit(_csv_document(lines) if args.format == "csv" else "\n".join(lines), args.output)
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
@@ -369,25 +380,24 @@ def cmd_kl_check(args: argparse.Namespace) -> int:
 def cmd_dump(args: argparse.Namespace) -> int:
     codes = _resolve_codes(args.code)
     out_dir = Path(args.output) if args.output else Path(".")
-    written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name in codes:
-            code = get_code(name)
-            rec = recovery_for(name)
-            write_matrix(out_dir / f"{name}_R.txt", rec.matrix)
-            sidecar = "".join(f"{i} {rec.row_label(i)}\n" for i in range(rec.dim))
-            (out_dir / f"{name}_R_labels.txt").write_text(sidecar)
-            write_matrix(out_dir / f"{name}_encoder.txt", encoding_unitary(code))
-            write_matrix(out_dir / f"{name}_logical0.txt", code.logical0.reshape(-1, 1))
-            write_matrix(out_dir / f"{name}_logical1.txt", code.logical1.reshape(-1, 1))
-            written.extend(
-                f"{name}_{suffix}" for suffix in
-                ("R.txt", "R_labels.txt", "encoder.txt", "logical0.txt", "logical1.txt")
-            )
     except OSError as exc:
         raise CliError(f"cannot write to {out_dir}: {exc}") from exc
-    _emit("\n".join(f"wrote {out_dir / f}" for f in written), None)
+    written = []
+    for name in codes:
+        code = get_code(name)
+        rec = recovery_for(name)
+        for suffix, text in [
+            ("R.txt", format_matrix(rec.matrix)),
+            ("R_labels.txt", "".join(f"{i} {rec.row_label(i)}\n" for i in range(rec.dim))),
+            ("encoder.txt", format_matrix(encoding_unitary(code))),
+            ("logical0.txt", format_matrix(code.logical0.reshape(-1, 1))),
+            ("logical1.txt", format_matrix(code.logical1.reshape(-1, 1))),
+        ]:
+            written.append(out_dir / f"{name}_{suffix}")
+            _emit(text, written[-1])
+    _emit("\n".join(f"wrote {path}" for path in written), None)
     return EXIT_OK
 
 
@@ -456,19 +466,15 @@ def _check_numbers(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_numbers(args)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         try:
-            print(f"error: {exc}", file=sys.stderr)
+            _write(sys.stderr, f"error: {exc}\n")
         except OSError:  # stderr is gone too; the exit code still says usage
-            import os  # for this error path alone
-
-            # Python flushes stderr again at exit: os.devnull takes what is left.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+            pass
         return EXIT_USAGE
 
 

@@ -8,7 +8,6 @@ transpose plays the role of the conjugate transpose throughout.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -133,7 +132,3 @@ def format_matrix(m: np.ndarray) -> str:
     for row in m:
         lines.append(" ".join(format(x, ".17g") for x in row))
     return "\n".join(lines) + "\n"
-
-
-def write_matrix(path: str | Path, m: np.ndarray) -> None:
-    Path(path).write_text(format_matrix(m))

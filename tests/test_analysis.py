@@ -451,6 +451,41 @@ class TestTrajectoryStatistics:
             assert [(e.frequency, e.bound_3sigma, e.within_bound) for e in report.entries] == rows
             assert report.passed == (ok and report.max_recovery_error <= tol)
 
+    def test_verdict_in_counts_matches_the_quotient_on_a_sweep(self, monkeypatch):
+        # The family test is taken in counts, |count - n p| <= z sqrt(n p (1
+        # - p)). Where p (1 - p) / n does not underflow it must give the
+        # verdict of the |z| quotient, term by term. The counts are forged:
+        # a multinomial draw from p, or from p moved towards another channel
+        # so that some runs fail.
+        rng = np.random.default_rng(27)
+        forged = {}
+        monkeypatch.setattr(analysis, "_term_counts", lambda probs, n, seed: forged["counts"])
+        verdicts = []
+        for i in range(1200):
+            name = CODE_NAMES[i % 3]
+            k = len(standard_error_set(get_code(name)))
+            probs = [
+                rng.dirichlet(np.ones(k)),
+                rng.dirichlet(np.ones(3)).tolist() + [0.0] * (k - 3),
+                _one_hot(k, int(rng.integers(k))),
+                rng.dirichlet(np.full(k, 0.05)),
+            ][i // 3 % 4]
+            samples = int(rng.integers(1, 100_004))
+            channel = channel_for(name, probs)
+            p = channel.probabilities / channel.probabilities.sum()
+            shift = [0.0, 1e-3, 1e-2][i // 12 % 3]
+            moved = (1.0 - shift) * p + shift * rng.dirichlet(np.ones(k))
+            forged["counts"] = rng.multinomial(samples, moved)
+            report = trajectory_statistics(name, channel, INPUT_STATES[i % 5], samples=samples)
+            _, ok = oracles.trajectory_frequencies_loop(
+                [e.probability for e in report.entries], forged["counts"].tolist(), samples,
+                analysis._sidak_z_bound(k),
+            )
+            assert report.max_recovery_error <= DEFAULT_TOL
+            assert report.passed == ok, (name, probs, samples)
+            verdicts.append(ok)
+        assert 100 < sum(verdicts) < 1100
+
     def test_a_certain_term_off_its_probability_fails(self, monkeypatch):
         # No draw of numpy's lands on a term of probability 0, so the counts
         # are forged: one of 1000 draws on X_1.

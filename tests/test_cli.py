@@ -232,6 +232,18 @@ class TestTrajectory:
         assert doc["entries"][0]["within"] is True
         assert doc["passed"] is True
 
+    def test_vanishing_probability_passes(self, capsys):
+        # p (1 - p) / n underflows to 0 for p = 1e-320: a |z| taken as a
+        # quotient read inf and failed a run whose every draw is exact.
+        rc = main([
+            "trajectory", "--code", "bitflip3", "--probs", "1e-320,1,0,0",
+            "--samples", "1000000",
+        ])
+        out = capsys.readouterr().out
+        assert "max per-sample recovery error: 0.000e+00" in out
+        assert "verdict: PASS" in out
+        assert rc == 0
+
     def test_shor9_degenerate_classification(self, capsys):
         probs = ["0"] * 28
         probs[20] = "1"  # Z_2
@@ -255,23 +267,28 @@ class TestOutputFile:
         assert json.loads(target.read_text())["passed"] is True
 
 
-def run_on_a_closed_pipe(argv, stderr_too=False):
-    """Run `python -m uqec.cli argv` with stdout, and stderr too if
-    `stderr_too`, on one pipe whose read end is closed before the run."""
+def run_cli(argv, **streams):
+    """Run `python -m uqec.cli argv` in a child process whose stdout and
+    stderr are given as to subprocess.run."""
     package_root = str(Path(cli.__file__).parents[1])
     path = [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
     # Buffered stderr, as in a plain interpreter: a failed write then stays
     # in the buffer for the flush at exit.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(path)
+    return subprocess.run(
+        [sys.executable, "-m", "uqec.cli", *argv], text=True, timeout=120, env=env, **streams,
+    )
+
+
+def run_on_a_closed_pipe(argv, stderr_too=False):
+    """Run `python -m uqec.cli argv` with stdout, and stderr too if
+    `stderr_too`, on one pipe whose read end is closed before the run."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "uqec.cli", *argv],
-            stdout=write_end, stderr=write_end if stderr_too else subprocess.PIPE,
-            text=True, timeout=120, env=env,
-        )
+        return run_cli(argv, stdout=write_end,
+                       stderr=write_end if stderr_too else subprocess.PIPE)
     finally:
         os.close(write_end)
 
@@ -283,6 +300,7 @@ class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ["verify", "--code", "bitflip3", "--format", "json"],
         ["dump", "--code", "bitflip3", "--output", "{tmp}"],
+        ["--help"],  # argparse's own write
     ])
     def test_exit_2_and_one_error_line(self, argv, tmp_path):
         proc = run_on_a_closed_pipe([a.format(tmp=tmp_path) for a in argv])
@@ -295,9 +313,28 @@ class TestClosedStdout:
         ["verify", "--code", "nosuch"],
         ["verify", "--code", "bitflip3"],
         ["trajectory", "--code", "all", "--probs", "1,0,0,0"],
+        ["verify", "--tol", "x"],  # argparse's own error
     ])
     def test_closed_stderr_too_still_exits_2(self, argv):
         assert run_on_a_closed_pipe(argv, stderr_too=True).returncode == 2
+
+    # A descriptor closed before the run leaves Python no stream at all
+    # (sys.stdout is None): a failed write, not a traceback.
+    def test_closed_stdout_descriptor(self):
+        proc = run_cli(["kl-check", "--code", "all"], stdout=subprocess.DEVNULL,
+                       stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write to stdout: [Errno 9] Bad file descriptor\n"
+
+    # With `2>&-`, a launcher script that opens a file before Python starts
+    # can leave it on descriptor 2: a stderr open for reading alone.
+    def test_read_only_stderr_descriptor(self):
+        def read_only_stderr():
+            os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+        proc = run_cli(["verify", "--tol", "x"], stdout=subprocess.PIPE,
+                       stderr=subprocess.DEVNULL, preexec_fn=read_only_stderr)
+        assert (proc.returncode, proc.stdout) == (2, "")
 
 
 class TestMalformedInput:
@@ -405,9 +442,7 @@ class TestMalformedInput:
     ])
     def test_removed_option_exits_2(self, command, option, tmp_path, capsys):
         argv = [*command.split(), "--code", "bitflip3", "--output", str(tmp_path / "out")]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + option.split())
-        assert exc.value.code == 2
+        assert main(argv + option.split()) == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -421,9 +456,7 @@ class TestArgparseErrors:
         ["demo", "--probs", "1,0,0,0", "--alpha", "1", "--beta", "0"],
     ])
     def test_one_line_error_and_exit_2(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
@@ -481,9 +514,7 @@ class TestFormatChoices:
         ["trajectory", "--code", "bitflip3", "--probs", "1,0,0,0", "--format", "csv"],
     ])
     def test_csv_rejected_where_no_csv_is_written(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert "invalid choice: 'csv'" in out.err
