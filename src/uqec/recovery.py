@@ -154,35 +154,47 @@ def _kl_report(
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RecoveryMatrix:
     """Orthogonal recovery matrix and the error classes of its rows.
 
     Row m*2^(n-1) + c is (W_c |m>_L)^T for error class c, so applying the
     matrix maps W_c |psi> to psi (x) e_c with the data qubit in the first
     tensor factor. Rows not pinned by an error class are deterministic
-    orthonormal completion rows.
+    orthonormal completion rows. Only R's split is kept: `matrix` is formed
+    from it on first read (README, "Dense rows of R").
     """
 
-    matrix: np.ndarray = field(repr=False)
     classes: tuple[tuple[str, ...], ...]
     # max |R R^T - I|, set on construction.
-    orthogonality_deviation: float = field(init=False)
-    # The row of v each unit row copies (argmax), R's dense rows and a copy.
-    _split: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    orthogonality_deviation: float
+    # The row of v each unit row copies (argmax), R's dense rows and a copy
+    # of them. A unit row with a -0.0 counts as dense, so that `matrix`
+    # gives back R's bits.
+    _split: tuple[np.ndarray, ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix: np.ndarray, classes: tuple[tuple[str, ...], ...]) -> None:
+        m = np.asarray(matrix, dtype=float)
         unit, top = unit_rows(m)
         dev = orthogonality_deviation(m, (unit, top))
         # Written so that a NaN deviation fails it.
         if not dev <= ORTHONORMAL_TOL:
             raise ValueError(f"recovery matrix is not orthogonal (deviation {dev:.3e})")
-        m.setflags(write=False)
-        dense = np.flatnonzero(~unit)
-        object.__setattr__(self, "matrix", m)
+        dense = np.flatnonzero(~unit | np.signbit(m).any(axis=1))
+        object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "orthogonality_deviation", dev)
         object.__setattr__(self, "_split", (top, dense, m[dense]))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """R, formed on first read and read-only: 1.0 at each unit row's
+        column, the dense rows' copy, and +0.0 elsewhere."""
+        top, dense, block = self._split
+        m = np.zeros((self.dim, self.dim))
+        m[np.arange(self.dim), top] = 1.0
+        m[dense] = block
+        m.setflags(write=False)
+        return m
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """R @ v, bit for bit, for v of shape (d,), (d, k) or (s, d, k), from
@@ -211,7 +223,7 @@ class RecoveryMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._split[0].size
 
     @property
     def ancilla_dim(self) -> int:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from uqec import recovery
-from uqec.analysis import check_product_form
+from uqec.analysis import check_product_form, run_experiment, trajectory_statistics, verify_code
+from uqec.cli import main
 from uqec.codes import (
     CODE_NAMES,
     ErrorOperator,
@@ -322,6 +323,80 @@ class TestBuildRecovery:
             m[3] = m[1]
         with pytest.raises(ValueError, match="not orthogonal"):
             RecoveryMatrix(matrix=m, classes=())
+
+    def test_leaves_the_callers_array_writable(self):
+        want = np.array([[0.6, 0.8, 0, 0], [-0.8, 0.6, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        a = want.copy()
+        rec = RecoveryMatrix(matrix=a, classes=())
+        assert a.flags.writeable
+        a[:] = 7.0
+        assert rec.matrix is not a
+        assert rec.matrix.tobytes() == want.tobytes()
+        assert not rec.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rec.matrix[0, 0] = 1.0
+
+    def test_matrix_keeps_a_negative_zero_of_a_unit_row(self):
+        m = np.eye(4)[[1, 0, 3, 2]]
+        m[0, 3] = -0.0
+        assert RecoveryMatrix(matrix=m, classes=()).matrix.tobytes() == m.tobytes()
+
+
+class TestMatrixFormedOnRead:
+    """R keeps each unit row's column and a copy of its dense rows; its
+    matrix is formed once, on first read, which only dump and apply's full
+    product (shor9 channels of 4-24 terms) make."""
+
+    @pytest.fixture
+    def rec(self):
+        recovery_for.cache_clear()
+        return recovery_for("shor9")
+
+    @staticmethod
+    def channel(probs):
+        return ErrorChannel.from_probs(standard_error_set(shor9()), probs)
+
+    def test_grid_trajectory_and_reads_leave_it_unformed(self, rec):
+        psi = PureQubitState(0.6, 0.8)
+        full = self.channel(np.full(28, 1 / 28))
+        verify_code("shor9")
+        trajectory_statistics("shor9", full, psi, samples=1000)
+        run_experiment("shor9", self.channel(np.eye(28)[5]), psi)
+        run_experiment("shor9", full, psi)
+        assert (rec.dim, rec.ancilla_dim, len(rec.class_map)) == (512, 256, 28)
+        rec.check_channel(full)
+        assert "matrix" not in vars(rec)
+
+    @pytest.mark.parametrize("first", ["dump", "ten terms"])
+    def test_dump_and_the_full_product_form_it_once(self, rec, first, tmp_path, capsys):
+        ten = self.channel([0.1] * 10 + [0.0] * 18)
+        steps = {
+            "dump": lambda: main(["dump", "--code", "shor9", "--output", str(tmp_path)]),
+            "ten terms": lambda: run_experiment("shor9", ten, PureQubitState(0.6, -0.8)),
+        }
+        steps.pop(first)()
+        formed = vars(rec)["matrix"]
+        steps.popitem()[1]()
+        assert vars(rec)["matrix"] is formed
+        assert rec.matrix is formed
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_equals_build_recoverys_rows_bit_for_bit(self, name, monkeypatch):
+        rows = []
+
+        def keep(matrix, classes):
+            rows.append(matrix.copy())
+            return RecoveryMatrix(matrix=matrix, classes=classes)
+
+        monkeypatch.setattr(recovery, "RecoveryMatrix", keep)
+        code = get_code(name)
+        rec = build_recovery(code, recovery_row_order(code))
+        (want,) = rows
+        assert not rec.matrix.flags.writeable
+        assert rec.matrix.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(rec.matrix), np.signbit(want))
+        # -0.0 entries (divincenzo5, shor9) come through too.
+        assert np.signbit(want).any() == (name != "bitflip3")
 
 
 def kl_fields_pairwise(code, ops):
