@@ -133,30 +133,6 @@ def check_product_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return q, sigma, rows, residuals
 
 
-def fidelity_pure(q: np.ndarray, states: Sequence[PureQubitState]) -> list[float]:
-    """<psi| rho |psi> for each single-qubit state rho of the stack q against
-    its pure target in `states`."""
-    v = np.array([(psi.alpha, psi.beta) for psi in states])
-    return (v[:, None, :] @ q @ v[:, :, None]).reshape(-1).tolist()
-
-
-def syndrome_distribution(
-    diagonals: np.ndarray, class_labels: Sequence[str]
-) -> list[list[tuple[str, float]]]:
-    """For each ancilla diagonal of the stack `diagonals`, pair its entries
-    with error-class labels, one per leading slot; any mass on the
-    remaining (completion) slots is aggregated under "(outside)". Off-diagonal
-    mass is not read here: run_experiments weighs it against the tolerance."""
-    k = len(class_labels)
-    out = []
-    for diag, head in zip(diagonals, diagonals[:, :k].tolist()):
-        pairs = list(zip(class_labels, head))
-        if diagonals.shape[-1] > k:
-            pairs.append(("(outside)", float(diag[k:].sum())))
-        out.append(pairs)
-    return out
-
-
 # The conditions a case must meet, in the order RecoveryReport.failed lists them.
 CONDITIONS = ("fidelity", "product_form", "ancilla_diagonal", "syndrome_trace")
 
@@ -223,12 +199,20 @@ def run_experiments(
     encoded = np.array([encode_state(code, psi) for psi in states])
     a = recover_pure_state(rec, channels, encoded)
     q, sigma, rows, residuals = check_product_form(a)
-    fids = fidelity_pure(q, [*states] * len(channels))
+    # <psi| q |psi> of each case against its pure input.
+    v = np.array([(psi.alpha, psi.beta) for psi in states] * len(channels))
+    fids = (v[:, None, :] @ q @ v[:, :, None]).reshape(-1).tolist()
     s, n = sigma.shape[:2]
     # sigma's whole diagonal, so that "(outside)" sums every slot.
     diagonals = np.zeros((s, rec.ancilla_dim))
     diagonals[:, rows] = np.diagonal(sigma, axis1=1, axis2=2)
-    syndromes = syndrome_distribution(diagonals, rec.class_labels)
+    # One syndrome row per case: each class slot, then "(outside)", the mass
+    # of the completion slots. Off-diagonal mass is weighed below, not read.
+    labels, k = rec.class_labels, len(rec.class_labels)
+    syndromes = diagonals[:, :k]
+    if rec.ancilla_dim > k:
+        labels += ("(outside)",)
+        syndromes = np.column_stack([syndromes, diagonals[:, k:].sum(axis=1)])
     # Past the first entry of each flattened block, every run of n + 1
     # entries ends on a diagonal one, so this view holds exactly the
     # off-diagonal; sigma is +0.0 off the block.
@@ -236,7 +220,8 @@ def run_experiments(
     max_offs = np.abs(off).max(axis=(1, 2), initial=0.0).tolist()
     # Each syndrome summed left to right, as the builtin sum does only before
     # Python 3.12 (it compensates from 3.12 on).
-    totals = np.cumsum([[p for _, p in pairs] for pairs in syndromes], axis=1)[:, -1].tolist()
+    totals = np.cumsum(syndromes, axis=1)[:, -1].tolist()
+    values = syndromes.tolist()
     reports = []
     for c, channel in enumerate(channels):
         # One tuple per channel, shared by its reports.
@@ -257,7 +242,7 @@ def run_experiments(
                 fidelity=fids[i],
                 residual=residuals[i],
                 max_offdiagonal=max_offs[i],
-                syndrome=tuple(syndromes[i]),
+                syndrome=tuple(zip(labels, values[i])),
                 failed=tuple(cond for cond, ok in zip(CONDITIONS, met) if not ok),
                 tolerance=tol,
                 qubit=q[i],
@@ -372,12 +357,13 @@ def trajectory_statistics(
     recovery matrix, classify the ancilla register, and compare empirical
     frequencies against the channel probabilities.
 
-    Each entry reports its own 3-sigma binomial bound. The verdict instead
-    tests all terms as one family at TRAJECTORY_ALPHA: each term's |z| =
-    |count - n p| / sqrt(n p (1 - p)), tested without the division, must lie
-    within the Sidak per-term bound, so a term of probability 0 or 1 needs
-    exactly n p draws. Both take p clipped to [0, 1], which ErrorChannel's
-    sum rule lets a certain term pass by a rounding step.
+    Each entry reports its own 3-sigma binomial bound, and whether its count
+    is within it, |count - n p| <= 3 sqrt(n p (1 - p)). The verdict tests all
+    terms as one family at TRAJECTORY_ALPHA: each term's |z| = |count - n p|
+    / sqrt(n p (1 - p)), tested in counts too, must lie within the Sidak
+    per-term bound, so a term of probability 0 or 1 needs exactly n p draws.
+    Both take p clipped to [0, 1], which ErrorChannel's sum rule lets a
+    certain term pass by a rounding step.
 
     The channel term drawn determines the corrupted vector completely, so the
     recovery is computed once per drawn term and shared by its samples.
@@ -393,14 +379,15 @@ def trajectory_statistics(
     p = np.clip(probs, 0.0, 1.0)
     freqs = counts / samples
     bounds = 3.0 * np.sqrt(p * (1.0 - p) / samples)
-    offs = np.abs(freqs - p)
     mean = samples * p
-    z_bound = _sidak_z_bound(len(p))
-    frequencies_ok = (np.abs(counts - mean) <= z_bound * np.sqrt(mean * (1.0 - p))).all()
+    off = np.abs(counts - mean)
+    sd = np.sqrt(mean * (1.0 - p))
+    frequencies_ok = (off <= _sidak_z_bound(len(p)) * sd).all()
     entries = []
     worst = 0.0
-    for (prob, op), count, freq, bound, off in zip(
-        channel.terms, counts.tolist(), freqs.tolist(), bounds.tolist(), offs.tolist()
+    for (prob, op), count, freq, bound, inside in zip(
+        channel.terms, counts.tolist(), freqs.tolist(), bounds.tolist(),
+        (off <= 3.0 * sd).tolist(),
     ):
         c = rec.class_map[op.label]
         if count > 0:
@@ -416,7 +403,7 @@ def trajectory_statistics(
                 count=count,
                 frequency=freq,
                 bound_3sigma=bound,
-                within_bound=off <= bound,
+                within_bound=inside,
             )
         )
     return TrajectoryReport(

@@ -1,7 +1,9 @@
+import collections
 import functools
 import itertools
 import operator
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -17,11 +19,9 @@ from uqec.analysis import (
     INPUT_STATES,
     TRAJECTORY_ALPHA,
     check_product_form,
-    fidelity_pure,
     run_experiment,
     run_experiments,
     simplex_grid,
-    syndrome_distribution,
     trajectory_statistics,
     verification_probability_vectors,
     verify_code,
@@ -51,6 +51,7 @@ from dense import (
     verify_permutation_factorization_3qubit,
 )
 import oracles
+from mutants import MUTANTS, mutant
 from oracles import choice_counts, conventional_recovery, group_pairs_brute, pauli_brute
 
 
@@ -183,63 +184,6 @@ class TestAncillaOnNonzeroRows:
         assert peak < 512 * 2**10
 
 
-class TestFidelityPure:
-    def test_pure_self_fidelity(self):
-        psi = PureQubitState(0.6, 0.8)
-        v = np.array([psi.alpha, psi.beta])
-        assert fidelity_pure(np.outer(v, v)[None], [psi]) == [pytest.approx(1.0, abs=1e-15)]
-
-    def test_maximally_mixed(self):
-        fids = fidelity_pure(np.stack([0.5 * np.eye(2)] * len(INPUT_STATES)), INPUT_STATES)
-        assert fids == [pytest.approx(0.5, abs=1e-15)] * len(INPUT_STATES)
-
-    def test_wrong_dimension(self):
-        # A 4 x 4 state does not fit the 2-entry targets: numpy's matmul rejects it.
-        with pytest.raises(ValueError):
-            fidelity_pure(np.eye(4)[None] / 4, [PureQubitState(1.0, 0.0)])
-
-
-def one_syndrome(sigma, labels):
-    """syndrome_distribution of the diagonal of the one ancilla matrix sigma."""
-    (dist,) = syndrome_distribution(np.diag(sigma)[None], labels)
-    return dist
-
-
-class TestSyndromeDistribution:
-    def test_bitflip3_reordered_diagonal(self):
-        labels = ("I", "X_3", "X_2", "X_1")
-        assert one_syndrome(np.diag([0.5, 0.05, 0.15, 0.3]), labels) == [
-            ("I", 0.5), ("X_3", 0.05), ("X_2", 0.15), ("X_1", 0.3),
-        ]
-
-    def test_uniform_16(self):
-        labels = tuple(f"W_{i}" for i in range(16))
-        dist = one_syndrome(np.eye(16) / 16, labels)
-        assert all(p == pytest.approx(0.0625, abs=1e-15) for _, p in dist)
-
-    def test_no_error_channel(self):
-        dist = one_syndrome(np.diag([1.0, 0.0, 0.0, 0.0]), ("I", "X_3", "X_2", "X_1"))
-        assert dist[0] == ("I", 1.0)
-        assert all(p == 0.0 for _, p in dist[1:])
-
-    def test_completion_slots_aggregate_as_outside(self):
-        dist = one_syndrome(np.diag([0.7, 0.1, 0.15, 0.05]), ("I", "X_1"))
-        assert dist[-1] == ("(outside)", pytest.approx(0.2, abs=1e-15))
-
-    def test_off_diagonal_mass_is_not_read(self):
-        # Only run_experiments weighs off-diagonal mass against a tolerance;
-        # the syndrome of a non-diagonal ancilla is still its diagonal.
-        m = np.array([[0.7, 0.2, 0.0], [0.2, 0.2, 0.05], [0.0, 0.05, 0.1]])
-        assert one_syndrome(m, ("I", "X_1")) == [("I", 0.7), ("X_1", 0.2), ("(outside)", 0.1)]
-
-    def test_one_distribution_per_state_of_a_stack(self):
-        stack = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
-        assert syndrome_distribution(stack, ("I", "X_1")) == [
-            [("I", 0.5), ("X_1", 0.3), ("(outside)", 0.2)],
-            [("I", 0.1), ("X_1", 0.1), ("(outside)", 0.8)],
-        ]
-
-
 class TestPermutationFactorization:
     def test_all_residuals_exactly_zero(self):
         check = verify_permutation_factorization_3qubit()
@@ -267,6 +211,27 @@ class TestRunExperiment:
         assert report.passed
         assert report.syndrome[0] == ("I", pytest.approx(1.0, abs=1e-12))
         assert all(p <= 1e-12 for _, p in report.syndrome[1:])
+
+    def test_bitflip3_syndrome_slots_in_row_order(self):
+        # R's rows run I, X_3, X_2, X_1, and so do the syndrome's slots.
+        report = run_experiment(
+            "bitflip3", channel_for("bitflip3", [0.5, 0.3, 0.15, 0.05]),
+            PureQubitState(0.6, 0.8),
+        )
+        assert [label for label, _ in report.syndrome] == ["I", "X_3", "X_2", "X_1"]
+        want = [0.5, 0.05, 0.15, 0.3]
+        assert all(abs(p - w) <= 1e-15 for (_, p), w in zip(report.syndrome, want))
+
+    def test_divincenzo5_uniform_channel(self):
+        # 16 classes fill the 16 ancilla slots: no completion, no "(outside)".
+        report = run_experiment(
+            "divincenzo5", channel_for("divincenzo5", np.full(16, 1 / 16)),
+            PureQubitState(0.6, -0.8),
+        )
+        assert report.passed
+        assert len(report.syndrome) == 16
+        assert "(outside)" not in dict(report.syndrome)
+        assert all(abs(p - 0.0625) <= 1e-15 for _, p in report.syndrome)
 
     def test_shor9_uniform_channel_aggregates_z_classes(self):
         probs = np.ones(28) / 28
@@ -338,6 +303,59 @@ class TestScopeOfTheClaim:
         mixed /= np.linalg.norm(mixed)
         _, residual = self.recover(name, f, mixed, probs)
         assert residual > 0.01
+
+    @staticmethod
+    def pauli_masks(op, n):
+        """The X and Z bit masks (x, z) of a signed-permutation Pauli string:
+        column r goes to row r ^ x with sign (-1)^popcount(r & z)."""
+        r = np.arange(op.perm.size)
+        x = int(op.perm[0])
+        z = sum(1 << b for b in range(n) if op.signs[1 << b] < 0)
+        parity = np.zeros_like(r)
+        for b in range(n):
+            parity ^= (r & z) >> b & 1
+        assert np.array_equal(op.perm, r ^ x)
+        assert np.array_equal(op.signs, 1 - 2 * parity)
+        return x, z
+
+    @staticmethod
+    def gf2_nullspace(rows, width):
+        """A basis of the v in GF(2)^width, as ints, with popcount(v & row)
+        even for every row: Gauss-Jordan elimination on the rows' bits."""
+        pivots = {}
+        for row in rows:
+            for bit, pivot in pivots.items():
+                if row >> bit & 1:
+                    row ^= pivot
+            if row:
+                bit = row.bit_length() - 1
+                for b, pivot in pivots.items():
+                    if pivot >> bit & 1:
+                        pivots[b] = pivot ^ row
+                pivots[bit] = row
+        return [
+            (1 << f) | sum(1 << b for b, pivot in pivots.items() if pivot >> f & 1)
+            for f in range(width) if f not in pivots
+        ]
+
+    @pytest.mark.parametrize("name,strings", [("bitflip3", 8), ("divincenzo5", 1), ("shor9", 1)])
+    def test_no_completion_carries_a_general_ancilla(self, name, strings):
+        # If R W_i U = I (x) B_i for every error, the logical X and Z, U (X (x)
+        # I) U^T and U (Z (x) I) U^T, anticommute and commute with every
+        # W_i^T W_j. The strings commuting with a set of Pauli strings span
+        # its commutant, so over GF(2) (string x | z << n) it suffices that
+        # no two of them anticommute (operator QEC: Kribs, Laflamme and
+        # Poulin, PRL 94, 180501, 2005).
+        code = get_code(name)
+        masks = [self.pauli_masks(op, code.n) for op in standard_error_set(code)]
+        # W_i^T W_j is the string (x_i ^ x_j, z_i ^ z_j) up to sign; string v
+        # commutes with (x, z) when popcount(v & (z | x << n)) is even.
+        products = {(zi ^ zj) | (xi ^ xj) << code.n for xi, zi in masks for xj, zj in masks}
+        basis = self.gf2_nullspace(products, 2 * code.n)
+        assert 2 ** len(basis) == strings
+        # v = x | z << n as a constraint row: z | x << n.
+        rows = [v >> code.n | (v & (1 << code.n) - 1) << code.n for v in basis]
+        assert all(bin(u & row).count("1") % 2 == 0 for u in basis for row in rows)
 
 
 class TestGrids:
@@ -487,6 +505,40 @@ class TestTrajectoryStatistics:
             assert report.passed == ok, (name, probs, samples)
             verdicts.append(ok)
         assert 100 < sum(verdicts) < 1100
+
+    def test_3sigma_column_in_counts_matches_the_frequency_form(self, monkeypatch):
+        # within_bound is taken as |count - n p| <= 3 sqrt(n p (1 - p)). Where
+        # p (1 - p) / n does not underflow it must read as |freq - p| <= 3
+        # sqrt(p (1 - p) / n), term by term. The counts are forged: within two
+        # counts of either 3-sigma edge, and for every fourth channel a
+        # multinomial draw.
+        rng = np.random.default_rng(31)
+        channels = 1000
+        probs = np.concatenate([
+            rng.dirichlet(np.ones(4), channels // 2), rng.dirichlet(np.full(4, 0.05), channels // 2),
+        ])
+        samples = rng.integers(1, 1_000_001, channels)[:, None]
+        edge = samples * probs + rng.choice([-3.0, 3.0], probs.shape) * np.sqrt(
+            samples * probs * (1.0 - probs)
+        )
+        counts = np.clip(np.floor(edge).astype(np.int64) + rng.integers(-1, 3, probs.shape), 0, samples)
+        counts[::4] = rng.multinomial(samples[::4, 0], probs[::4])
+        forged = {}
+        monkeypatch.setattr(analysis, "_term_counts", lambda probs, n, seed: forged["counts"])
+        seen = set()
+        for i in range(channels):
+            forged["counts"] = counts[i]
+            report = trajectory_statistics(
+                "bitflip3", channel_for("bitflip3", probs[i]), INPUT_STATES[i % 5],
+                samples=int(samples[i, 0]),
+            )
+            rows, _ = oracles.trajectory_frequencies_loop(
+                [e.probability for e in report.entries], counts[i].tolist(), int(samples[i, 0]), 3.0,
+            )
+            assert [e.within_bound for e in report.entries] == [w for _, _, w in rows]
+            seen.update(w for _, _, w in rows)
+        assert seen == {True, False}
+        assert (np.abs(counts - edge) <= 2.0).sum() > 2000
 
     def test_a_certain_term_off_its_probability_fails(self, monkeypatch):
         # No draw of numpy's lands on a term of probability 0, so the counts
@@ -822,3 +874,52 @@ class TestStackedGrid:
         assert len(stacks) < cases // states
         if name == "shor9":
             assert [s for s, _, k in stacks if k == 28] == [states] * 11
+
+
+class TestMutants:
+    """Each check held to a broken R: every mutant of tests/mutants.py takes
+    the place of analysis.recovery_for's R, and each check must give it the
+    verdict the table records."""
+
+    @staticmethod
+    def build(m):
+        rec = recovery_for(m.code)
+        rows, classes = np.array(rec.matrix), list(rec.classes)
+        m.edit(rows, classes)
+        return RecoveryMatrix(matrix=rows, classes=tuple(classes))
+
+    @pytest.mark.parametrize("m", MUTANTS, ids=lambda m: m.name)
+    def test_the_checks_that_catch_it(self, m, monkeypatch):
+        if m.rejected:
+            with pytest.raises(ValueError, match=re.escape(m.rejected)):
+                self.build(m)
+            return
+        mutated = self.build(m)
+        monkeypatch.setattr(analysis, "recovery_for", lambda name: mutated)
+        reports = verify_code(m.code)
+        assert sum(r.passed for r in reports) == m.cases_passed
+        assert collections.Counter(c for r in reports for c in r.failed) == m.failed
+        ops = standard_error_set(get_code(m.code))
+        vertices = [
+            op.label for i, op in enumerate(ops)
+            if not trajectory_statistics(
+                m.code, channel_for(m.code, _one_hot(len(ops), i)), PureQubitState(0.6, 0.8),
+                samples=100,
+            ).passed
+        ]
+        assert tuple(vertices) == m.vertices_failed
+
+    def test_mass_turned_into_the_completion_reads_as_outside(self, monkeypatch):
+        # On the X_1 vertex the ancilla is cos 0.3 e_1 - sin 0.3 e_22: its
+        # diagonal splits between X_1 and "(outside)" and still sums to 1,
+        # and its off-diagonal mass fails the case without entering the
+        # syndrome.
+        mutated = self.build(mutant("shor9 class row rotated into the completion"))
+        monkeypatch.setattr(analysis, "recovery_for", lambda name: mutated)
+        report = run_experiment("shor9", channel_for("shor9", _one_hot(28, 1)), PureQubitState(0.6, 0.8))
+        syndrome = dict(report.syndrome)
+        assert abs(syndrome.pop("X_1") - np.cos(0.3) ** 2) <= 1e-15
+        assert abs(syndrome.pop("(outside)") - np.sin(0.3) ** 2) <= 1e-15
+        assert all(abs(p) <= 1e-15 for p in syndrome.values())
+        assert abs(report.max_offdiagonal - np.cos(0.3) * np.sin(0.3)) <= 1e-15
+        assert report.failed == ("ancilla_diagonal",)

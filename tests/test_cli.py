@@ -243,6 +243,11 @@ class TestTrajectory:
         assert "max per-sample recovery error: 0.000e+00" in out
         assert "verdict: PASS" in out
         assert rc == 0
+        # Its 3-sigma bound underflows to 0 as well, yet a count of 0 is
+        # within it: the column is taken in counts, as the verdict is.
+        entries = out.splitlines()[2:6]
+        assert entries[0].split()[0] == "I"
+        assert all(line.endswith(" yes") for line in entries)
 
     def test_shor9_degenerate_classification(self, capsys):
         probs = ["0"] * 28
@@ -581,6 +586,8 @@ class TestChannelNormalization:
         ["0.5", "0.3", "0.15", "0.05"],
         ["0.2500000001", "0.25", "0.25", "0.25"],
         ["1", "0", "-0", "0"],
+        # Read by float(), which takes any Unicode decimal digits (README).
+        ["\u0660.\u0665", "\u0660.\u0665", "0", "0"],
     ])
     def test_file_and_probs_give_the_same_channel(self, probs, tmp_path, monkeypatch, capsys):
         seen = record(monkeypatch, "run_experiment")
