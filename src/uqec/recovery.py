@@ -75,13 +75,6 @@ class ErrorChannel:
         return cls(tuple((float(p), op) for p, op in zip(probs, ops)))
 
 
-def _shifted_codewords(code: Code, ops: Sequence[ErrorOperator]) -> np.ndarray:
-    """Row i is [W_i |0>_L, W_i |1>_L]: both shifted codewords of operator i."""
-    return np.array(
-        [np.concatenate([op.apply(code.logical0), op.apply(code.logical1)]) for op in ops]
-    )
-
-
 def _group_error_classes(shifts: np.ndarray) -> list[list[int]]:
     """Group operator indices by identical action on both logical vectors:
     each operator joins the first class whose representative's row of
@@ -110,12 +103,19 @@ class KLReport:
     gram_deviation is max |<m|W_i^T W_j|n> - delta_ij delta_mn| over class
     representatives; classes lists every operator-label group with identical
     action on the code space, degenerate_classes only the non-singletons.
+    labeled_rows holds the representatives' logical-0 shifted codewords,
+    then their logical-1 ones: the rows whose Gram is checked, and R's
+    labeled rows when they pass.
     """
 
     gram_deviation: float
     classes: tuple[tuple[str, ...], ...]
-    degenerate_classes: tuple[tuple[str, ...], ...]
     worst_pair: tuple[str, str]
+    labeled_rows: np.ndarray = field(repr=False)
+
+    @property
+    def degenerate_classes(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(c for c in self.classes if len(c) > 1)
 
     @property
     def is_nondegenerate(self) -> bool:
@@ -125,19 +125,16 @@ class KLReport:
 def validate_kl(code: Code, ops: Sequence[ErrorOperator]) -> KLReport:
     """Check the orthonormality condition that makes a recovery matrix exist,
     grouping operators with identical action on the code space first."""
-    shifts = _shifted_codewords(code, ops)
-    return _kl_report(ops, shifts, _group_error_classes(shifts))
-
-
-def _kl_report(
-    ops: Sequence[ErrorOperator], shifts: np.ndarray, groups: Sequence[Sequence[int]]
-) -> KLReport:
-    # Gram matrix of the class representatives' shifted codewords, stacked as
-    # all logical-0 shifts then all logical-1 shifts.
+    # Row i is [W_i |0>_L, W_i |1>_L]: both shifted codewords of operator i.
+    shifts = np.array(
+        [np.concatenate([op.apply(code.logical0), op.apply(code.logical1)]) for op in ops]
+    )
+    groups = _group_error_classes(shifts)
     reps = shifts[[grp[0] for grp in groups]]
     d = shifts.shape[1] // 2
-    stacked = np.vstack([reps[:, :d], reps[:, d:]])
-    dev = np.abs(stacked @ stacked.T - np.eye(stacked.shape[0]))
+    rows = np.vstack([reps[:, :d], reps[:, d:]])
+    rows.setflags(write=False)
+    dev = np.abs(rows @ rows.T - np.eye(rows.shape[0]))
     wi, wj = np.unravel_index(int(dev.argmax()), dev.shape)
     k = len(groups)
 
@@ -145,12 +142,11 @@ def _kl_report(
         m, c = (1, r - k) if r >= k else (0, r)
         return f"{ops[groups[c][0]].label}|{m}>_L"
 
-    classes = tuple(tuple(ops[i].label for i in grp) for grp in groups)
     return KLReport(
         gram_deviation=float(dev.max()),
-        classes=classes,
-        degenerate_classes=tuple(c for c in classes if len(c) > 1),
+        classes=tuple(tuple(ops[i].label for i in grp) for grp in groups),
         worst_pair=(row_name(int(wi)), row_name(int(wj))),
+        labeled_rows=rows,
     )
 
 
@@ -203,9 +199,8 @@ class RecoveryMatrix:
         top, dense, block = self._split
         w = v[:, None] if v.ndim == 1 else v
         d, k = self.dim, w.shape[-1]
-        # The full product where nothing is skipped, where it costs less than
-        # a gather, and across OpenBLAS's small-kernel line (README).
-        if not 0 < dense.size < d or small_kernel(dense.size, k, d) != small_kernel(d, k, d):
+        # The full product only across OpenBLAS's small-kernel line (README).
+        if small_kernel(dense.size, k, d) != small_kernel(d, k, d):
             return self.matrix @ v
         out = np.take(w, top, axis=-2)
         out += 0.0
@@ -256,10 +251,7 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
     standard basis. Rejects operator sets whose shifted codewords are not
     orthonormal across classes.
     """
-    ops = tuple(ops)
-    shifts = _shifted_codewords(code, ops)
-    groups = _group_error_classes(shifts)
-    report = _kl_report(ops, shifts, groups)
+    report = validate_kl(code, ops)
     # Written so that a NaN deviation fails it. It also fails when 2k > d:
     # the 2k x 2k Gram G then has rank at most d, so ||G - I||_2 >= 1 and
     # max |G - I| >= 1/(2k). So the 2k labeled rows below always fit.
@@ -270,19 +262,17 @@ def build_recovery(code: Code, ops: Sequence[ErrorOperator]) -> RecoveryMatrix:
             f"(deviation {report.gram_deviation:.3e}); "
             "this operator set is not correctable by a single orthogonal matrix"
         )
+    labeled = report.labeled_rows
     d = code.dim
     half = d // 2
-    k = len(groups)
+    k = len(report.classes)
 
     rows = np.zeros((d, d))
-    for c, grp in enumerate(groups):
-        rows[c] = shifts[grp[0], :d]
-        rows[half + c] = shifts[grp[0], d:]
+    rows[:k] = labeled[:k]
+    rows[half : half + k] = labeled[k:]
     if k < half:
-        pinned = np.vstack([rows[:k], rows[half : half + k]])
-        completion = gram_schmidt_extend(pinned, range(d), d - 2 * k)
         free = list(range(k, half)) + list(range(half + k, d))
-        rows[free] = completion
+        rows[free] = gram_schmidt_extend(labeled, range(d), d - 2 * k)
 
     return RecoveryMatrix(matrix=rows, classes=report.classes)
 

@@ -680,6 +680,14 @@ class TestTermCounts:
         assert analysis._span_count(1) == 1
         assert analysis._span_count(1000) == min(cpus, 8)
 
+    @pytest.mark.parametrize("cpu_count, spans", [(3, 3), (None, 1)])
+    def test_span_count_without_sched_getaffinity(self, cpu_count, spans, monkeypatch):
+        # Platforms without sched_getaffinity (macOS, Windows) count every
+        # CPU; os.cpu_count() may return None, which counts as one.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert analysis._span_count(1000) == spans
+
     def test_shor9_4m_samples_in_flat_memory(self):
         # 4M uniforms and 4M indices held at once take 61 MB; the count
         # holds one chunk of 2**15 uniforms per span, at most 8 spans.

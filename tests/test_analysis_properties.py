@@ -308,6 +308,10 @@ _CHANNEL_FILES = {
     "empty": "",
     "bad_sum": "I 0.5\nX_1 0.4\n",
     "valid": "I 0.7\nX_1 0.3\n",
+    "byte_order_mark": "\ufeffI 1\n",
+    "two_byte_order_marks": "\ufeff\ufeffI 1\n",
+    "nul_after_probability": "I 1\x00",
+    "nul_in_label": "I\x00 1\n",
 }
 # The options each command takes, and what a value of each is drawn from.
 _OPTIONS = {
@@ -328,7 +332,7 @@ def fuzz_paths(tmp_path_factory):
     paths = {}
     for key, text in _CHANNEL_FILES.items():
         paths[key] = root / f"{key}.txt"
-        paths[key].write_text(text)
+        paths[key].write_text(text, encoding="utf-8")
     paths["not_utf8"] = root / "not_utf8.txt"
     paths["not_utf8"].write_bytes(b"I \xff\xfe 1\n")
     paths["directory"] = root / "a_directory"

@@ -399,10 +399,16 @@ class TestMalformedInput:
         # The offset is the file's own, byte-order mark included.
         (b"\xef\xbb\xbfI 0.5\nX_1 0.5\xff\n",
          "{path}: not valid UTF-8 (byte 0xff at offset 16: invalid start byte)"),
+        # One byte-order mark is read as one; a second is part of the label.
+        (b"\xef\xbb\xbf\xef\xbb\xbfI 1\n",
+         "{path}:1: unknown operator '\\ufeffI' for code bitflip3"),
+        (b"I 1\x00", "{path}:1: bad probability '1\\x00'"),
+        (b"I\x00 1\n", "{path}:1: unknown operator 'I\\x00' for code bitflip3"),
         ("directory", None),
         ("missing", None),
     ], ids=["short-line", "empty", "sum-1.1", "negative", "nan", "not-utf8",
-            "not-utf8-after-bom", "directory", "missing"])
+            "not-utf8-after-bom", "two-boms", "nul-after-probability", "nul-in-label",
+            "directory", "missing"])
     @pytest.mark.parametrize("command", ["demo", "trajectory"])
     def test_malformed_channel_file(self, command, content, line, tmp_path, capsys):
         spec = tmp_path / "channel.txt"

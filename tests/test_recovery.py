@@ -345,7 +345,9 @@ class TestBuildRecovery:
 class TestMatrixFormedOnRead:
     """R keeps each unit row's column and a copy of its dense rows; its
     matrix is formed once, on first read, which only dump and apply's full
-    product (shor9 channels of 4-24 terms) make."""
+    product make. apply takes the full product only across OpenBLAS's
+    small-kernel line: shor9 channels of 4-24 terms, and no bitflip3 (no
+    dense rows) or divincenzo5 (every row dense) product."""
 
     @pytest.fixture
     def rec(self):
@@ -353,19 +355,24 @@ class TestMatrixFormedOnRead:
         return recovery_for("shor9")
 
     @staticmethod
-    def channel(probs):
-        return ErrorChannel.from_probs(standard_error_set(shor9()), probs)
+    def channel(probs, name="shor9"):
+        return ErrorChannel.from_probs(standard_error_set(get_code(name)), probs)
 
-    def test_grid_trajectory_and_reads_leave_it_unformed(self, rec):
+    def test_grid_trajectory_and_reads_leave_it_unformed(self):
+        recovery_for.cache_clear()
         psi = PureQubitState(0.6, 0.8)
-        full = self.channel(np.full(28, 1 / 28))
-        verify_code("shor9")
-        trajectory_statistics("shor9", full, psi, samples=1000)
-        run_experiment("shor9", self.channel(np.eye(28)[5]), psi)
-        run_experiment("shor9", full, psi)
-        assert (rec.dim, rec.ancilla_dim, len(rec.class_map)) == (512, 256, 28)
-        rec.check_channel(full)
-        assert "matrix" not in vars(rec)
+        for name in CODE_NAMES:
+            rec = recovery_for(name)
+            code = get_code(name)
+            n = len(standard_error_set(code))
+            full = self.channel(np.full(n, 1 / n), name)
+            verify_code(name)
+            trajectory_statistics(name, full, psi, samples=1000)
+            run_experiment(name, self.channel(np.eye(n)[5 % n], name), psi)
+            run_experiment(name, full, psi)
+            assert (rec.dim, rec.ancilla_dim, len(rec.class_map)) == (code.dim, code.dim // 2, n)
+            rec.check_channel(full)
+            assert "matrix" not in vars(rec), name
 
     @pytest.mark.parametrize("first", ["dump", "ten terms"])
     def test_dump_and_the_full_product_form_it_once(self, rec, first, tmp_path, capsys):
@@ -400,9 +407,9 @@ class TestMatrixFormedOnRead:
 
 
 def kl_fields_pairwise(code, ops):
-    """(classes, gram_deviation, worst_pair) of a KLReport, with classes
-    grouped one pair at a time and the representatives' Gram matrix taken
-    as stacked logical-0 shifts, then logical-1 shifts."""
+    """(classes, gram_deviation, worst_pair, labeled_rows) of a KLReport,
+    with classes grouped one pair at a time and the representatives' Gram
+    matrix taken as stacked logical-0 shifts, then logical-1 shifts."""
     shift0 = [op.apply(code.logical0) for op in ops]
     shift1 = [op.apply(code.logical1) for op in ops]
     groups = group_pairs_brute(shift0, shift1, CLASS_MERGE_TOL)
@@ -413,7 +420,7 @@ def kl_fields_pairwise(code, ops):
     k = len(reps)
     worst = tuple(f"{ops[reps[r % k]].label}|{r // k}>_L" for r in (int(wi), int(wj)))
     classes = tuple(tuple(ops[i].label for i in grp) for grp in groups)
-    return classes, float(dev.max()), worst
+    return classes, float(dev.max()), worst, stacked
 
 
 class TestGroupOnce:
@@ -439,7 +446,7 @@ class TestGroupOnce:
     def test_classes_and_report_match_pairwise_grouping(self, name):
         code = get_code(name)
         ops = recovery_row_order(code)
-        classes, deviation, worst = kl_fields_pairwise(code, ops)
+        classes, deviation, worst, stacked = kl_fields_pairwise(code, ops)
         rec = build_recovery(code, ops)
         assert rec.classes == classes
         assert rec.class_map == {lb: c for c, grp in enumerate(classes) for lb in grp}
@@ -448,11 +455,15 @@ class TestGroupOnce:
         assert report.degenerate_classes == tuple(c for c in classes if len(c) > 1)
         assert report.gram_deviation == deviation
         assert report.worst_pair == worst
+        assert report.labeled_rows.tobytes() == stacked.tobytes()
+        k, half = len(classes), code.dim // 2
+        labeled = np.vstack([rec.matrix[:k], rec.matrix[half : half + k]])
+        assert labeled.tobytes() == stacked.tobytes()
 
     def test_violation_names_the_same_pair(self):
         code = bitflip3()
         ops = standard_error_set(code) + (error_operator("Z", 1, 3),)
-        _, deviation, worst = kl_fields_pairwise(code, ops)
+        _, deviation, worst, _ = kl_fields_pairwise(code, ops)
         assert worst == ("I|0>_L", "Z_1|0>_L")
         with pytest.raises(KLViolationError) as exc:
             build_recovery(code, ops)
